@@ -106,15 +106,15 @@ def run_bench() -> dict:
 
     timings: dict[str, float] = {}
 
-    cfg = QCConfig(dedup=True, scorer_concurrency=(max(1, NUM_CPUS // 4), NUM_CPUS))
+    cfg = QCConfig(dedup=True)
     runs = []
-    # 4 runs by default: run 1 is cold (actor pools, imports), the best of
+    # 4 runs by default: run 1 is cold (worker start, models, imports), the best of
     # the rest is the steady state; this box's ±25% noise makes min-of-2
     # land on a bad regime too often (the round-2 record did exactly that),
     # and a fully cold session (first bench after boot) was still decaying
     # at run 3 (36.5/27.2/23.4 s) — all runs stay in the reported array
     n_runs = int(os.environ.get("GRAFT_BENCH_RUNS", "4"))
-    for attempt in range(n_runs):  # 2nd run = steady state (actors warm, store warm)
+    for attempt in range(n_runs):  # 2nd run = steady state (workers warm, store warm)
         shutil.rmtree(out_dir, ignore_errors=True)
         t0 = time.perf_counter()
         ds = rd.read_parquet(corpus)
@@ -239,7 +239,7 @@ def run_stats() -> None:
     from titan_ray.pipelines.qc import build_qc_pipeline
 
     corpus = corpus_path_for_sf(_sf())
-    cfg = QCConfig(dedup=True, scorer_concurrency=(max(1, NUM_CPUS // 4), NUM_CPUS))
+    cfg = QCConfig(dedup=True)
     ds = build_qc_pipeline(rd.read_parquet(corpus), cfg, num_buckets=max(64, NUM_CPUS * 4))
     out = "/tmp/titan_ray_stats_out"
     shutil.rmtree(out, ignore_errors=True)
@@ -268,18 +268,17 @@ def run_stage(stage: str) -> dict:
 
     from titan_ray.config import QCConfig
     from titan_ray.corpus import corpus_path_for_sf
-    from titan_ray.pipelines.qc import ScoreChain
+    from titan_ray.pipelines.qc import score_chain
     from titan_ray.stages.conv import run_conv_checks_arrow
     from titan_ray.stages.dedup import dedup_exact
     from titan_ray.stages.rowwise import metadata_check, seed_lists
-    from titan_ray.stages.scorer import Scorer
-    from titan_ray.stages.scrub_stage import ScrubStage
+    from titan_ray.stages.scorer import score_batch, shared_model_refs
+    from titan_ray.stages.scrub_stage import scrub_batch
 
     sf = _sf()
     corpus = corpus_path_for_sf(sf)
     rd.read_parquet(corpus).count()  # warm page cache
-    cfg = QCConfig(dedup=True, scorer_concurrency=(max(1, NUM_CPUS // 4), NUM_CPUS),
-                   batch_size=int(os.environ.get("GRAFT_BATCH", QCConfig.batch_size)))
+    cfg = QCConfig(dedup=True, batch_size=int(os.environ.get("GRAFT_BATCH", QCConfig.batch_size)))
 
     def build(ds):
         if stage == "read":
@@ -287,27 +286,22 @@ def run_stage(stage: str) -> dict:
         if stage == "dedup":
             return dedup_exact(ds)
         if stage == "scrub":
-            return ds.map_batches(ScrubStage, batch_format="pyarrow",
-                                  batch_size=cfg.batch_size, concurrency=cfg.scorer_concurrency)
+            return ds.map_batches(scrub_batch, batch_format="pyarrow", batch_size=cfg.batch_size)
         if stage == "write":
             return ds
         if stage == "scorer":
             # the scorer kernel alone (attribution row; production runs it
-            # inside the fused ScoreChain actor below)
-            from titan_ray.stages.scorer import shared_model_refs
-
-            return ds.map_batches(Scorer, batch_format="pyarrow", batch_size=cfg.batch_size,
-                                  fn_constructor_kwargs={"model_refs": shared_model_refs()},
-                                  concurrency=(max(1, NUM_CPUS // 4), NUM_CPUS))
-        # production operator shape: seed/meta task maps fuse INTO the
-        # ScoreChain actor pool (scorer + affine + plaus + clim + salt in
-        # one __call__ — round-4 fold)
+            # inside the fused score_chain map below)
+            return ds.map_batches(score_batch, fn_kwargs={"model_refs": shared_model_refs()},
+                                  batch_format="pyarrow", batch_size=cfg.batch_size)
+        # production operator shape: seed/meta and the score chain (scorer +
+        # affine + plaus + clim + salt) fuse into one task map
         for fn in (seed_lists, metadata_check):
             ds = ds.map_batches(partial(fn, cfg=cfg), batch_format="pyarrow", batch_size=cfg.batch_size)
-        ds = ds.map_batches(ScoreChain,
-                            fn_constructor_kwargs={"cfg": cfg, "num_buckets": max(64, NUM_CPUS * 4)},
-                            batch_format="pyarrow", batch_size=cfg.batch_size,
-                            concurrency=(max(1, NUM_CPUS // 4), NUM_CPUS))
+        ds = ds.map_batches(score_chain,
+                            fn_kwargs={"cfg": cfg, "num_buckets": max(64, NUM_CPUS * 4),
+                                       "model_refs": shared_model_refs()},
+                            batch_format="pyarrow", batch_size=cfg.batch_size)
         if stage == "rowwise":
             return ds
         ds = ds.groupby("bucket").map_groups(partial(run_conv_checks_arrow, cfg=cfg),

@@ -56,3 +56,28 @@ def test_cli_end_to_end(tmp_path):
     for col in ("conv_id", "turn_idx", "dqcflag", "keep", "text_scrubbed"):
         assert col in t.column_names
     assert (np.asarray(t["dqcflag"]) == 999).sum() > 0  # blacklist applied
+
+
+def test_cli_one_cpu_matches_four(tmp_path):
+    """The flagship has no actor pools, so it completes on ONE Ray CPU, and
+    its output equals a 4-CPU run's (order-insensitive value hash)."""
+    from titan_ray.corpus import write_corpus
+    from tools.check_contract import value_hash
+
+    inp = tmp_path / "in"
+    write_corpus(str(inp), 600, seed=5, shards=2, mega=False)
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps({"dedup": True}))
+    digests = []
+    for n in (1, 4):
+        outp = tmp_path / f"out{n}"
+        r = subprocess.run(
+            [sys.executable, "-m", "titan_ray", "--input", str(inp), "--output", str(outp),
+             "--config", str(cfgf), "--num-cpus", str(n)],
+            cwd=REPO, capture_output=True, text=True, timeout=300,
+        )
+        assert r.returncode == 0, r.stderr[-2000:]
+        t = pq.read_table(str(outp))
+        assert t.num_rows > 0
+        digests.append(value_hash(t.to_pandas()))
+    assert digests[0] == digests[1]

@@ -49,3 +49,37 @@ def test_no_tmp_dirs_left(ray_session, tmp_path):
     inp, out = _setup(tmp_path)
     run_qc_resumable(inp, out, QCConfig(), files_per_partition=4)
     assert not [d for d in os.listdir(out) if d.endswith(".tmp")]
+
+
+def test_fsync_before_manifest_rename(ray_session, tmp_path, monkeypatch):
+    """Every data file of a partition, its directory and the manifest's tmp
+    file are fsynced before the manifest is renamed into place, so a
+    manifest never names output a power loss could tear."""
+    inp, out = _setup(tmp_path)
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.path.realpath(f"/proc/self/fd/{fd}")))
+        real_fsync(fd)
+
+    def replace(src, dst, *args, **kwargs):
+        events.append(("replace", os.path.realpath(src), os.path.realpath(dst)))
+        real_replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    s = run_qc_resumable(inp, out, QCConfig(), files_per_partition=4)
+    monkeypatch.undo()
+    assert s["partitions"] == 2
+
+    out = os.path.realpath(out)
+    for i in range(s["partitions"]):
+        mpath = manifest_path(out, i)
+        at = events.index(("replace", mpath + ".tmp", mpath))
+        synced = {e[1] for e in events[:at] if e[0] == "fsync"}
+        part_dir = os.path.join(out, f"part-{i:05d}")
+        data = [os.path.join(part_dir + ".tmp", f) for f in os.listdir(part_dir)]
+        assert data and set(data) <= synced
+        assert {part_dir + ".tmp", out, mpath + ".tmp"} <= synced
+        assert ("fsync", os.path.dirname(mpath)) in events[at:]

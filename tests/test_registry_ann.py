@@ -401,7 +401,9 @@ def test_ann_knn_classify(ray_session, tmp_path):
     d = tmp_path / "knn"
     d.mkdir()
     pq.write_table(t, d / "embeddings.parquet")
-    eng = to_pandas(ann_knn_classify(str(d), k=5)).set_index("vec_id")
+    # sort first: label slices on an unsorted index slice positionally, and
+    # the output's row order follows Ray block order
+    eng = to_pandas(ann_knn_classify(str(d), k=5)).sort_values("vec_id").set_index("vec_id")
     assert (eng.loc[0:5, "pred_label"] == 1).all()     # incl. the mislabeled 2
     assert (eng.loc[6:11, "pred_label"] == 2).all()
     assert eng.loc[2, "n_votes"] == 5                  # unanimous correction

@@ -59,10 +59,6 @@ def main(argv: list[str] | None = None) -> int:
 
     import ray
 
-    if args.num_cpus is not None and args.num_cpus < 4:
-        # two autoscaling actor pools (scorer chain, conv chain) each pin a
-        # CPU; below 4 the shuffle tasks can starve and the job deadlocks
-        raise SystemExit("--num-cpus must be >= 4 (actor pools + shuffle tasks)")
     own_session = not ray.is_initialized()
     if own_session:
         ray.init(address="local", num_cpus=args.num_cpus,

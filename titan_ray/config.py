@@ -193,8 +193,9 @@ class QCConfig:
 
     # ---- execution knobs ----
     batch_size: int = 4096
-    # autoscaling actor pool (min, max): min=1 so a small test cluster can't
-    # deadlock on reserved CPUs; max sized up by the caller for real runs
+    # NOT read by the engine: the scorer and scrub stages are plain task maps
+    # (per-process model cache, stages/scorer.cached_scorer) that Ray sizes
+    # to the free CPUs. Kept so existing configs and callers still load.
     scorer_concurrency: int | tuple[int, int] = (1, 8)
 
     def doit_for(self, check: str, roles) -> "object":

@@ -24,8 +24,8 @@ from ..stages.rowwise import (
     seed_lists,
     zdem_check,
 )
-from ..stages.scorer import Scorer
-from ..stages.scrub_stage import ScrubStage
+from ..stages.scorer import cached_scorer, shared_model_refs
+from ..stages.scrub_stage import scrub_batch
 from ..sources.reader import affine_rescale_qscore, impute_defaults, project_output
 from ..sources.reader import read_parquet_clean
 
@@ -38,19 +38,19 @@ def _drop_helpers(batch: pa.Table) -> pa.Table:
 
 
 class ScoreChain:
-    """Scorer + post-score rowwise checks + conv-bucket salting as ONE
-    actor-pool operator. Ray Data fuses task-pool maps that PRECEDE an
-    actor-pool operator into it, but maps placed AFTER one form their own
-    TaskPoolMapOperator — so affine/plausibility/climatological/salt as
-    separate map_batches cost a full extra pass of the corpus through the
-    object store between the scorer pool and the conv shuffle (round-3
-    verdict item 5). Folding them into the actor's __call__ leaves exactly
-    one plasma hop: scorer-pool output -> Sort."""
+    """Scorer + post-score rowwise checks + conv-bucket salting in ONE
+    callable, so the flagship runs them as one map feeding the conv shuffle.
+
+    Cheap to build: the Scorer comes from the per-process cache
+    (stages.scorer.cached_scorer), so the flagship builds one ScoreChain per
+    batch inside a plain task map (``score_chain``). No actor pool: task
+    workers are reused across executions, hold no CPU slot between them, and
+    the flagship runs at any CPU count, one included."""
 
     def __init__(self, cfg: QCConfig, num_buckets: int, model_refs=None):
-        # models once per actor; with model_refs, zero-copy views of the ONE
-        # node-shared plasma copy (see stages.scorer.shared_model_refs)
-        self.scorer = Scorer(model_refs=model_refs)
+        # with model_refs, zero-copy views of the ONE node-shared plasma copy
+        # (see stages.scorer.shared_model_refs)
+        self.scorer = cached_scorer(model_refs)
         self.cfg = cfg
         self.num_buckets = num_buckets
 
@@ -68,6 +68,16 @@ class ScoreChain:
         b = plausibility_check(b, cfg=cfg)
         b = climatological_check(b, cfg=cfg)
         return salt_batch(b, cfg=cfg, num_buckets=self.num_buckets)
+
+
+def score_chain(batch: pa.Table, cfg: QCConfig, num_buckets: int, model_refs=None) -> pa.Table:
+    return ScoreChain(cfg, num_buckets, model_refs)(batch)
+
+
+def post_conv(batch: pa.Table) -> pa.Table:
+    """Everything after the conv shuffle, stateless: drop the shuffle
+    helpers -> final decision -> scrub -> output projection."""
+    return project_output(scrub_batch(final_decision(_drop_helpers(batch))))
 
 
 def build_qc_pipeline(ds, cfg: QCConfig | None = None, num_buckets: int = 128):
@@ -97,31 +107,17 @@ def build_qc_pipeline(ds, cfg: QCConfig | None = None, num_buckets: int = 128):
         )
     ds = ds.map_batches(partial(seed_lists, cfg=cfg), batch_format="pyarrow", batch_size=cfg.batch_size)
     ds = ds.map_batches(partial(metadata_check, cfg=cfg), batch_format="pyarrow", batch_size=cfg.batch_size)
-    # ONE actor-pool operator: score -> affine -> (ccrrt/zdem) ->
-    # plausibility -> climatological -> salt (see ScoreChain) feeding
-    # straight into the ONE conversation-local shuffle (dual, fgt, buddy,
-    # sct, isolation)
-    from ..stages.scorer import shared_model_refs
-
+    # ONE map: score -> affine -> (ccrrt/zdem) -> plausibility ->
+    # climatological -> salt (see ScoreChain) feeding straight into the ONE
+    # conversation-local shuffle (dual, fgt, buddy, sct, isolation)
     ds = ds.map_batches(
-        ScoreChain,
-        fn_constructor_kwargs={"cfg": cfg, "num_buckets": num_buckets,
-                               "model_refs": shared_model_refs()},
+        score_chain,
+        fn_kwargs={"cfg": cfg, "num_buckets": num_buckets, "model_refs": shared_model_refs()},
         batch_format="pyarrow",
         batch_size=cfg.batch_size,
-        concurrency=cfg.scorer_concurrency,
     )
     ds = ds.groupby("bucket").map_groups(partial(run_conv_checks_arrow, cfg=cfg), batch_format="pyarrow")
-    ds = ds.map_batches(_drop_helpers, batch_format="pyarrow", batch_size=cfg.batch_size)
-
-    ds = ds.map_batches(final_decision, batch_format="pyarrow", batch_size=cfg.batch_size)
-    ds = ds.map_batches(
-        ScrubStage,
-        batch_format="pyarrow",
-        batch_size=cfg.batch_size,
-        concurrency=cfg.scorer_concurrency,
-    )
-    ds = ds.map_batches(project_output, batch_format="pyarrow", batch_size=cfg.batch_size)
+    ds = ds.map_batches(post_conv, batch_format="pyarrow", batch_size=cfg.batch_size)
     return ds
 
 

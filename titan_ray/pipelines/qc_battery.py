@@ -95,7 +95,7 @@ def ensure_scored(sf_dir: str) -> str:
     import ray.data as rd
 
     from ..stages.dedup import dedup_exact
-    from ..stages.scorer import Scorer
+    from ..stages.scorer import score_batch, shared_model_refs
 
     from ..corpus import corpus_fingerprint
 
@@ -113,12 +113,9 @@ def ensure_scored(sf_dir: str) -> str:
     cfg = battery_config()
     ds = rd.read_parquet(corpus_path_for_sf(sf))
     ds = dedup_exact(ds)
-    from ..stages.scorer import shared_model_refs
-
     ds = ds.map_batches(
-        Scorer, batch_format="pyarrow", batch_size=cfg.batch_size,
-        fn_constructor_kwargs={"model_refs": shared_model_refs()},
-        concurrency=cfg.scorer_concurrency,
+        score_batch, fn_kwargs={"model_refs": shared_model_refs()},
+        batch_format="pyarrow", batch_size=cfg.batch_size,
     )
     ds = ds.map_batches(lambda b: b.select(SCORE_COLS), batch_format="pyarrow")
     ds.write_parquet(out)

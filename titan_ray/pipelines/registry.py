@@ -35,8 +35,9 @@ def _ensure_builtin() -> None:
     from ..stages import rowwise
     from ..stages.conv import run_conv_checks_arrow, salt_batch
     from ..stages.dedup import dedup_broadcast, dedup_exact, dedup_near
-    from ..stages.scorer import Scorer
-    from ..stages.scrub_stage import ScrubStage
+    from ..stages.scorer import score_batch, shared_model_refs
+    from ..stages.scrub_stage import scrub_batch
+    from .qc import _drop_helpers
     from ..sources.reader import affine_rescale_qscore, impute_defaults, project_output
 
     def _map(fn):
@@ -58,8 +59,8 @@ def _ensure_builtin() -> None:
             "seed_lists": _map(rowwise.seed_lists),
             "metadata": _map(rowwise.metadata_check),
             "scorer": lambda ds, cfg: ds.map_batches(
-                Scorer, batch_format="pyarrow", batch_size=cfg.batch_size,
-                concurrency=cfg.scorer_concurrency,
+                score_batch, fn_kwargs={"model_refs": shared_model_refs()},
+                batch_format="pyarrow", batch_size=cfg.batch_size,
             ),
             "affine": lambda ds, cfg: ds.map_batches(
                 partial(affine_rescale_qscore, role_affine=cfg.role_affine),
@@ -76,25 +77,19 @@ def _ensure_builtin() -> None:
                 )
                 .groupby("bucket")
                 .map_groups(partial(run_conv_checks_arrow, cfg=cfg), batch_format="pyarrow")
-                .map_batches(_drop_helper_cols, batch_format="pyarrow", batch_size=cfg.batch_size)
+                .map_batches(_drop_helpers, batch_format="pyarrow", batch_size=cfg.batch_size)
             ),
             "final": lambda ds, cfg: ds.map_batches(
                 rowwise.final_decision, batch_format="pyarrow", batch_size=cfg.batch_size
             ),
             "scrub": lambda ds, cfg: ds.map_batches(
-                ScrubStage, batch_format="pyarrow", batch_size=cfg.batch_size,
-                concurrency=cfg.scorer_concurrency,
+                scrub_batch, batch_format="pyarrow", batch_size=cfg.batch_size,
             ),
             "project_output": lambda ds, cfg: ds.map_batches(
                 project_output, batch_format="pyarrow", batch_size=cfg.batch_size
             ),
         }
     )
-
-
-def _drop_helper_cols(batch):
-    keep = [c for c in batch.column_names if c not in ("conv_key", "is_core", "bucket")]
-    return batch.select(keep)
 
 
 DEFAULT_SPEC: tuple[str, ...] = (

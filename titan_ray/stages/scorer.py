@@ -1,8 +1,8 @@
-"""Stateful scorer stage — the actor-pool analog of the reference's model
-side-inputs (reference: functions/IO/read_fgs.r loads background fields once
-and broadcasts via fg_env; here the langid table and the char-LM are built
-ONCE, ray.put into the object store, and every actor maps the SAME physical
-copy zero-copy in __init__ — one copy per NODE, not per worker).
+"""Scorer stage — the analog of the reference's model side-inputs
+(reference: functions/IO/read_fgs.r loads background fields once and
+broadcasts via fg_env; here the langid table and the char-LM are built ONCE,
+ray.put into the object store, and every worker maps the SAME physical copy
+zero-copy — one copy per NODE, not per worker).
 
 Why share: the scorer is bandwidth-bound (random gathers over ~6 MB of
 log-prob tables per text byte). With a private copy per worker, 32 workers
@@ -10,8 +10,11 @@ carry ~190 MB of duplicate tables and every gather misses to DRAM; one
 node-shared copy stays L3-resident, which is also the only layout that makes
 sense on a real multi-node cluster (plasma is per-node shared memory).
 
-Use: ``ds.map_batches(Scorer, fn_constructor_kwargs={"model_refs":
-shared_model_refs()}, batch_format="pyarrow", batch_size=B, concurrency=N)``.
+Use: ``ds.map_batches(score_batch, fn_kwargs={"model_refs":
+shared_model_refs()}, batch_format="pyarrow", batch_size=B)`` — a plain task
+map. Each worker process builds its Scorer once (``cached_scorer``) and Ray
+reuses task workers across executions, so the models are mapped once per
+worker, not once per execution, and no CPU slot is held between executions.
 Standalone (no Ray / unit tests): ``Scorer()`` trains private models.
 """
 
@@ -46,6 +49,27 @@ def shared_model_refs():
         return _MODEL_REFS[1]
     except Exception:
         return None
+
+
+# (ref key, Scorer) — this process's scorer, rebuilt only when the model ref
+# changes; a new Ray session puts a new ref, so a stale model is never used
+_CACHED: tuple[object, "Scorer"] | None = None
+
+
+def cached_scorer(model_refs=None) -> "Scorer":
+    """This worker process's Scorer over ``model_refs`` (a
+    ``shared_model_refs()`` ObjectRef, or None for private models), built on
+    first use and reused by every later batch and execution."""
+    global _CACHED
+    key = None if model_refs is None else model_refs.hex()
+    if _CACHED is None or _CACHED[0] != key:
+        _CACHED = (key, Scorer(model_refs=model_refs))
+    return _CACHED[1]
+
+
+def score_batch(batch: pa.Table, model_refs=None) -> pa.Table:
+    """Stateless map form of ``Scorer.__call__`` over the cached scorer."""
+    return cached_scorer(model_refs)(batch)
 
 
 class Scorer:

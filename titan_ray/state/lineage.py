@@ -9,10 +9,13 @@ the engine writes output one input-partition at a time:
       part-00000/          <- parquet files for partition 0 (atomic rename)
       _lineage/part-00000.json   <- manifest: inputs, row counts, flag histo
 
-A manifest is written only AFTER its partition's data is fully on disk
-(write to part-XXXX.tmp, fsync-rename, then manifest), so on resume a
-partition is skipped iff its manifest exists — no torn outputs. Partition =
-group of input files, so skipping needs no input scan.
+A manifest is written only AFTER its partition's data is durably on disk,
+so on resume a partition is skipped iff its manifest exists — no torn
+outputs, even after a power loss. The order: write part-XXXXX.tmp, fsync
+each of its files and then the directory, rename it to part-XXXXX, fsync
+out_dir; then write the manifest's tmp file, fsync it, rename it, fsync
+_lineage/. Partition = group of input files, so skipping needs no input
+scan.
 """
 
 from __future__ import annotations
@@ -32,6 +35,24 @@ def _partition_inputs(input_dir: str, files_per_partition: int) -> list[list[str
         if f.endswith(".parquet")
     )
     return [files[i : i + files_per_partition] for i in range(0, len(files), files_per_partition)]
+
+
+def _fsync(path: str) -> None:
+    """fsync a file or a directory (a directory's fsync makes the renames
+    and new entries in it durable)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _fsync_tree(root: str) -> None:
+    """fsync every file under ``root``, then each directory, deepest first."""
+    for dirpath, _dirs, files in os.walk(root, topdown=False):
+        for name in files:
+            _fsync(os.path.join(dirpath, name))
+        _fsync(dirpath)
 
 
 def manifest_path(out_dir: str, part: int) -> str:
@@ -100,7 +121,9 @@ def run_qc_resumable(
         }
         rows = len(flags)
 
+        _fsync_tree(tmp_dir)
         os.replace(tmp_dir, part_dir)  # atomic on one filesystem
+        _fsync(out_dir)
         manifest = {
             "partition": i,
             "inputs": files,
@@ -112,7 +135,10 @@ def run_qc_resumable(
         tmp_manifest = mpath + ".tmp"
         with open(tmp_manifest, "w") as f:
             json.dump(manifest, f)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp_manifest, mpath)
+        _fsync(os.path.dirname(mpath))
         total_rows += rows
 
     return {
