@@ -226,28 +226,6 @@ def _probe_calls_per_sec(n: int) -> float:
     return round(n * _PROBE_CALLS / wall, 2)
 
 
-def run_stats() -> None:
-    """Print the flagship pipeline's ds.stats() operator breakdown at
-    NUM_CPUS over GRAFT_SF_DIR's corpus — the per-operator tuning loop."""
-    import ray
-
-    _quiet_init(NUM_CPUS)
-    import ray.data as rd
-
-    from titan_ray.config import QCConfig
-    from titan_ray.corpus import corpus_path_for_sf
-    from titan_ray.pipelines.qc import build_qc_pipeline
-
-    corpus = corpus_path_for_sf(_sf())
-    cfg = QCConfig(dedup=True)
-    ds = build_qc_pipeline(rd.read_parquet(corpus), cfg, num_buckets=max(64, NUM_CPUS * 4))
-    out = "/tmp/titan_ray_stats_out"
-    shutil.rmtree(out, ignore_errors=True)
-    ds.write_parquet(out)
-    print(ds.stats())
-    ray.shutdown()
-
-
 STAGES = ("read", "dedup", "scorer", "rowwise", "conv", "scrub", "write")
 
 
@@ -268,6 +246,7 @@ def run_stage(stage: str) -> dict:
 
     from titan_ray.config import QCConfig
     from titan_ray.corpus import corpus_path_for_sf
+    from titan_ray.exchange import bucket_exchange
     from titan_ray.pipelines.qc import score_chain
     from titan_ray.stages.conv import run_conv_checks_arrow
     from titan_ray.stages.dedup import dedup_exact
@@ -304,9 +283,7 @@ def run_stage(stage: str) -> dict:
                             batch_format="pyarrow", batch_size=cfg.batch_size)
         if stage == "rowwise":
             return ds
-        ds = ds.groupby("bucket").map_groups(partial(run_conv_checks_arrow, cfg=cfg),
-                                             batch_format="pyarrow")
-        return ds  # stage == "conv"
+        return bucket_exchange(ds, "bucket", partial(run_conv_checks_arrow, cfg=cfg))  # stage == "conv"
 
     runs = []
     for _ in range(2):  # 2nd run = steady state
@@ -391,8 +368,6 @@ if __name__ == "__main__":
         print(json.dumps(run_bandwidth_probe()))
     elif "--stages" in sys.argv:
         print(json.dumps(run_stages()))
-    elif "--stats" in sys.argv:
-        run_stats()
     elif "--stage-run" in sys.argv:
         print(json.dumps(run_stage(os.environ.get("GRAFT_STAGE", "read"))))
     else:

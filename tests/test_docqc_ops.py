@@ -1812,6 +1812,31 @@ def test_doc_set_cover_edge_cases(ray_session, tmp_path):
     assert eng["covered_total"].tolist() == [4, 6, 8, 10]
 
 
+def test_doc_set_cover_twin_default_k_bounded_memory(ray_session):
+    """The SQL twin at the default k over the gate corpus: each round reads
+    the previous covered set, so inlined CTEs re-expand the whole chain per
+    round. Materialized, it finishes well inside a 1 GB DuckDB limit and a
+    60 s watchdog, and hash-matches the engine."""
+    import threading
+
+    from __ray_entry__ import GATE_SF_DIR
+    from titan_ray.pipelines.docqc import SETCOVER_K, doc_set_cover, set_cover_sql
+    from tools.check_contract import to_pandas, value_hash
+
+    con = duckdb.connect()
+    con.sql("SET memory_limit='1GB'")
+    con.sql(f"CREATE VIEW documents AS SELECT * FROM '{GATE_SF_DIR}/documents.parquet'")
+    watchdog = threading.Timer(60, con.interrupt)
+    watchdog.start()
+    try:
+        ora = con.sql(set_cover_sql()).df()
+    finally:
+        watchdog.cancel()
+    eng = to_pandas(doc_set_cover(GATE_SF_DIR))
+    assert len(eng) == len(ora) == SETCOVER_K
+    assert value_hash(eng) == value_hash(ora)
+
+
 def test_doc_set_cover_partition_invariant(ray_session):
     """The per-batch local top-1 fold must not depend on block layout."""
     import ray as _ray

@@ -378,6 +378,27 @@ def test_embedding_mutual_nn(ray_session, tmp_path):
     assert len(ids) == len(set(ids))
 
 
+def test_embedding_mutual_nn_rejects_aliasing_ids(ray_session, tmp_path):
+    """The pair key (lo << 32) + hi is one-to-one only for |vec_id| < 2^31:
+    here pairs (0, 2^32 + 5) and (1, 5) both map to key 2^32 + 5, and both
+    would silently vanish from the output. The operator must refuse."""
+    import pyarrow.parquet as pq
+
+    from titan_ray.stages.ann import embedding_mutual_nn
+
+    t = pa.table({
+        "vec_id": pa.array([0, (1 << 32) + 5, 1, 5], type=pa.int64()),
+        "embedding": pa.array(
+            [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]], type=pa.list_(pa.float32())),
+        "label": pa.array([0] * 4, type=pa.int32()),
+    })
+    d = tmp_path / "sf"
+    d.mkdir()
+    pq.write_table(t, d / "embeddings.parquet")
+    with pytest.raises(ValueError, match="alias"):
+        embedding_mutual_nn(str(d))
+
+
 def test_ann_knn_classify(ray_session, tmp_path):
     """kNN vote corrects a planted mislabel: two tight 6-point clusters,
     one cluster-A point labeled 9 — its 5 nearest are all true-A, so the

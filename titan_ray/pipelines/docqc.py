@@ -5357,22 +5357,27 @@ def set_cover_sql(k: int = SETCOVER_K, n: int = DECONTAM_N) -> str:
     """DuckDB replay of doc_set_cover: the k greedy rounds unrolled as
     chained CTEs over literal gram strings (the BPE-twin shape) — each
     round a NOT-IN-covered count, an ORDER BY gain DESC, doc_id LIMIT 1
-    pick, and a covered-set UNION."""
+    pick, and a covered-set UNION.
+
+    Every CTE is MATERIALIZED: each round reads the previous round's
+    covered set, so inlined CTEs re-expand the whole chain per reference
+    (exponential in k — the default k=8 ran DuckDB out of 12.5 GiB at
+    sf0.01). Materializing evaluates each once; the result is the same."""
     hi = n - 1
     parts = [
-        r"WITH words AS (SELECT doc_id, regexp_extract_all(text, '\S+') AS w FROM documents), "
-        f"g AS (SELECT DISTINCT doc_id, array_to_string(w[CAST(i AS BIGINT):CAST(i+{hi} AS BIGINT)], ' ') AS gram "
+        r"WITH words AS MATERIALIZED (SELECT doc_id, regexp_extract_all(text, '\S+') AS w FROM documents), "
+        f"g AS MATERIALIZED (SELECT DISTINCT doc_id, array_to_string(w[CAST(i AS BIGINT):CAST(i+{hi} AS BIGINT)], ' ') AS gram "
         f"FROM words, unnest(range(1, len(w) - {hi - 1})) AS t(i)), "
-        "c0 AS (SELECT gram FROM g WHERE 1 = 0)"
+        "c0 AS MATERIALIZED (SELECT gram FROM g WHERE 1 = 0)"
     ]
     for r in range(1, k + 1):
         parts.append(
-            f"g{r} AS (SELECT doc_id, count(*)::BIGINT AS gain FROM g "
+            f"g{r} AS MATERIALIZED (SELECT doc_id, count(*)::BIGINT AS gain FROM g "
             f"WHERE gram NOT IN (SELECT gram FROM c{r - 1}) GROUP BY doc_id)")
         parts.append(
-            f"p{r} AS (SELECT doc_id, gain FROM g{r} ORDER BY gain DESC, doc_id LIMIT 1)")
+            f"p{r} AS MATERIALIZED (SELECT doc_id, gain FROM g{r} ORDER BY gain DESC, doc_id LIMIT 1)")
         parts.append(
-            f"c{r} AS (SELECT gram FROM c{r - 1} UNION "
+            f"c{r} AS MATERIALIZED (SELECT gram FROM c{r - 1} UNION "
             f"SELECT g.gram FROM g JOIN p{r} USING (doc_id))")
     selects = [
         f"SELECT {r}::BIGINT AS round, doc_id, gain, "

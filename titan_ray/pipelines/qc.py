@@ -2,7 +2,10 @@
 
 One Dataset, streaming end-to-end; the only all-to-all exchanges are the
 optional dedup bucket shuffle and the single conv-bucket shuffle feeding ALL
-conversation-local checks (SURVEY.md §3.4). Stage order = reference check
+conversation-local checks (SURVEY.md §3.4). Both are
+``exchange.bucket_exchange``: a sort on the bucket column, then ONE
+vectorized kernel call per shuffled block (dedup_bucket_arrow,
+run_conv_checks_arrow), not one per bucket. Stage order = reference check
 order (titan.r:115-263), first-flag-wins.
 """
 
@@ -13,6 +16,7 @@ from functools import partial
 import pyarrow as pa
 
 from ..config import QCConfig
+from ..exchange import bucket_exchange
 from ..stages.conv import run_conv_checks_arrow, salt_batch
 from ..stages.dedup import dedup_broadcast, dedup_exact, dedup_near
 from ..stages.rowwise import (
@@ -116,7 +120,7 @@ def build_qc_pipeline(ds, cfg: QCConfig | None = None, num_buckets: int = 128):
         batch_format="pyarrow",
         batch_size=cfg.batch_size,
     )
-    ds = ds.groupby("bucket").map_groups(partial(run_conv_checks_arrow, cfg=cfg), batch_format="pyarrow")
+    ds = bucket_exchange(ds, "bucket", partial(run_conv_checks_arrow, cfg=cfg))
     ds = ds.map_batches(post_conv, batch_format="pyarrow", batch_size=cfg.batch_size)
     return ds
 

@@ -32,6 +32,7 @@ def registered() -> dict[str, Callable]:
 def _ensure_builtin() -> None:
     if "metadata" in _REGISTRY:
         return
+    from ..exchange import bucket_exchange
     from ..stages import rowwise
     from ..stages.conv import run_conv_checks_arrow, salt_batch
     from ..stages.dedup import dedup_broadcast, dedup_exact, dedup_near
@@ -70,15 +71,13 @@ def _ensure_builtin() -> None:
             "ccrrt": _map(rowwise.ccrrt_check),
             "plausibility": _map(rowwise.plausibility_check),
             "climatological": _map(rowwise.climatological_check),
-            "conv_checks": lambda ds, cfg: (
+            "conv_checks": lambda ds, cfg: bucket_exchange(
                 ds.map_batches(
                     partial(salt_batch, cfg=cfg, num_buckets=128),
                     batch_format="pyarrow", batch_size=cfg.batch_size,
-                )
-                .groupby("bucket")
-                .map_groups(partial(run_conv_checks_arrow, cfg=cfg), batch_format="pyarrow")
-                .map_batches(_drop_helpers, batch_format="pyarrow", batch_size=cfg.batch_size)
-            ),
+                ),
+                "bucket", partial(run_conv_checks_arrow, cfg=cfg),
+            ).map_batches(_drop_helpers, batch_format="pyarrow", batch_size=cfg.batch_size),
             "final": lambda ds, cfg: ds.map_batches(
                 rowwise.final_decision, batch_format="pyarrow", batch_size=cfg.batch_size
             ),

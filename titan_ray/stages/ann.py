@@ -125,6 +125,11 @@ def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.45):
     return ds.map_batches(pairs, batch_format="pyarrow")
 
 
+# the mutual-NN pair key packs (lo, hi) into one int64 as (lo << 32) + hi,
+# which is one-to-one only while every vec_id lies in [-2^31, 2^31)
+MAX_PAIR_KEY_ID = 1 << 31
+
+
 def embedding_mutual_nn(sf_dir: str):
     """Reciprocal-nearest-neighbour pairs: (vec_a, vec_b, sim) where each
     vector is the other's single nearest neighbour by cosine (self excluded;
@@ -146,6 +151,11 @@ def embedding_mutual_nn(sf_dir: str):
     t = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     all_m = _matrix(t["embedding"])
     all_ids = t["vec_id"].to_numpy().astype(np.int64)
+    if len(all_ids) and (all_ids.max() >= MAX_PAIR_KEY_ID or all_ids.min() < -MAX_PAIR_KEY_ID):
+        raise ValueError(
+            f"embedding_mutual_nn: vec_id range [{all_ids.min()}, {all_ids.max()}] "
+            f"exceeds ±MAX_PAIR_KEY_ID={MAX_PAIR_KEY_ID} (2^31); the (lo << 32) + hi "
+            "pair key would alias distinct pairs")
     order = np.argsort(all_ids, kind="stable")  # argmax tie -> smallest vec_id
     all_ids = all_ids[order]
     all_m = all_m[order]
@@ -167,7 +177,7 @@ def embedding_mutual_nn(sf_dir: str):
         lo = np.minimum(bid, other)
         hi = np.maximum(bid, other)
         return pa.table({
-            "key": pa.array((lo << np.int64(32)) + hi),  # vec_id < 2^31
+            "key": pa.array((lo << np.int64(32)) + hi),  # |vec_id| < 2^31, checked above
             "lo": pa.array(lo), "hi": pa.array(hi), "sim": pa.array(sim),
         })
 

@@ -10,10 +10,13 @@ Design (SURVEY.md §2.3 / §4):
    duplicate. This replaces Ray's inability to split a group — skew from
    10^6-turn conversations is bounded at W + 2·halo rows per group.
 
-2. **Bucket** the windows by hash into ``num_buckets`` groups and run ONE
-   ``groupby('bucket').map_groups`` — each group holds many windows and the
-   check kernels run vectorized across all of them at once with
-   conversation-boundary masking (no per-conversation Python dispatch).
+2. **Bucket** the windows by hash into ``num_buckets`` values and run ONE
+   ``exchange.bucket_exchange`` on ``bucket``: a sort co-locates each
+   bucket in one block, and the check kernel runs ONCE per shuffled block,
+   vectorized across every window the block holds, with
+   conversation-boundary masking (no per-bucket or per-conversation Python
+   dispatch). The kernel is key-composable: windows never see each other's
+   rows, so a block of many buckets gives the same rows as one call each.
 
 Check semantics (engine-defined, oracle-matched; reference kernels are in
 the external titanlib — we re-implement their *shape*):
@@ -104,7 +107,7 @@ def salt_batch(batch: pa.Table, cfg: QCConfig, num_buckets: int = 128) -> pa.Tab
 
 
 # ---------------------------------------------------------------------------
-# stage 2: vectorized windowed kernels (shared with the bucket group fn)
+# stage 2: vectorized windowed kernels (shared by the block kernel below)
 # ---------------------------------------------------------------------------
 
 def _sliding(vals: np.ndarray, r: int) -> np.ndarray:
@@ -283,7 +286,7 @@ def _trend_z(q: np.ndarray, ok: np.ndarray, grp: np.ndarray, t: np.ndarray, r: i
 
 
 def run_conv_checks_arrow(tbl: pa.Table, cfg: QCConfig) -> pa.Table:
-    """Arrow-native bucket kernel: converts ONLY the narrow check columns to
+    """Arrow-native block kernel: converts ONLY the narrow check columns to
     numpy (turn_idx/ts/qscore/flags/lang[/role]); the wide payload (text,
     passthrough) is reordered once with a single take() — no pandas
     round-trip of the full rows (measured ~2x on the group stage)."""
@@ -324,7 +327,7 @@ def run_conv_checks_arrow(tbl: pa.Table, cfg: QCConfig) -> pa.Table:
     # co-keyed groups (e.g. the shared null-conv_id key, where hundreds of
     # dead rows share a turn_idx) from widening the duplicate window.
     act = (flags == UNFLAGGED) | (flags == CODE_KEEP_INT)
-    if act.all():
+    if n and act.all():  # an empty table skips the kernel
         flags, sctpog, corep = _conv_kernel(
             cfg, flags, q, t, grp, core, rcodes, runiq, event_np, sctpog, corep, nchars
         )
@@ -592,13 +595,3 @@ def _conv_kernel(cfg: QCConfig, flags, q, t, grp, core, rcodes, runiq, event_np,
         apply(mask, CODE_ISOLATION)
 
     return flags, sctpog, corep
-
-
-class BucketChecker:
-    """map_groups callable over hash buckets of salted windows."""
-
-    def __init__(self, cfg: QCConfig):
-        self.cfg = cfg
-
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        return run_conv_checks(df, self.cfg)

@@ -5,7 +5,7 @@ Transcript semantics: normalize text (lower, collapse whitespace), hash,
 co-locate candidates by hash bucket (one shuffle over a SMALL key), then
 keep the first row per identical normalized text under the stable order
 (conv_id, turn_idx, ts). Bucketing by hash rather than by full text keeps
-group count bounded (num_buckets) instead of one group per distinct text.
+the sort key small (num_buckets values) instead of one per distinct text.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from ..exchange import bucket_exchange
 
 NORM_RE = r"\s+"
 
@@ -42,21 +44,17 @@ def add_dedup_bucket(batch: pa.Table, num_buckets: int = 256) -> pa.Table:
     return batch.append_column("_dd_bucket", pa.array((hv % num_buckets).astype(np.int32)))
 
 
-def dedup_bucket(df: pd.DataFrame) -> pd.DataFrame:
-    out = dedup_bucket_arrow(pa.Table.from_pandas(df, preserve_index=False))
-    return out.to_pandas()
-
-
 def dedup_bucket_arrow(tbl: pa.Table) -> pa.Table:
     """Arrow-native keep-first: narrow columns to numpy, one take() for the
-    surviving wide rows (no pandas round-trip of text payloads)."""
-    import pyarrow.compute as pc
+    surviving wide rows (no pandas round-trip of text payloads).
 
+    Keyed on the normalized text, so it is key-composable: any union of
+    whole buckets gives the same rows as one call per bucket."""
     from ..schema import narrow_strings
 
     tbl = narrow_strings(tbl)  # polars-backed sort emits large_string
-    norm = _normalize_arrow(tbl["text"]).to_numpy(dtype=object)
-    _, rank = _norm_and_rank(tbl)
+    norm, rank = _norm_and_rank(tbl)
+    norm = norm.to_numpy(dtype=object)
     order = np.argsort(rank.to_numpy(dtype=object), kind="stable")
     norm_sorted = norm[order]
     codes, first_pos = np.unique(norm_sorted, return_index=True)
@@ -73,10 +71,13 @@ def dedup_bucket_arrow(tbl: pa.Table) -> pa.Table:
 def dedup_exact(ds, num_buckets: int = 256):
     """Dataset-level exact dedup: bucket-by-hash shuffle + keep-first.
 
-    Moves FULL rows through one shuffle — right when the duplicate rate is
-    high (web-crawl text). For low-dup corpora prefer dedup_broadcast."""
+    Moves FULL rows through one sort on ``_dd_bucket``; the keep-first
+    kernel then runs ONCE per shuffled block over all the buckets it holds
+    (exchange.bucket_exchange), not once per bucket. Right when the
+    duplicate rate is high (web-crawl text). For low-dup corpora prefer
+    dedup_broadcast."""
     ds = ds.map_batches(lambda b: add_dedup_bucket(b, num_buckets), batch_format="pyarrow")
-    return ds.groupby("_dd_bucket").map_groups(dedup_bucket_arrow, batch_format="pyarrow")
+    return bucket_exchange(ds, "_dd_bucket", dedup_bucket_arrow)
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +174,12 @@ def dedup_broadcast(ds, max_dup_map_rows: int = 2_000_000):
             }
         )
 
-    # bucket the hashes so the groupby has O(256) groups, then aggregate
-    # hash -> (count, min rank) Arrow-native inside each bucket and emit
-    # ONLY hashes with count > 1 (tiny result; a groupby over the raw
-    # 128-bit hash would create one group per distinct text — measured 2.4x
-    # slower; round-4 verdict item 6: no pandas round-trip in the merge)
+    # bucket the hashes so the exchange has O(256) keys, then aggregate
+    # hash -> (count, min rank) Arrow-native and emit ONLY hashes with
+    # count > 1 (tiny result; a groupby over the raw 128-bit hash would
+    # create one group per distinct text — measured 2.4x slower; round-4
+    # verdict item 6: no pandas round-trip in the merge). group_by(h1, h2)
+    # is key-composable, so each shuffled block of buckets is one call.
     def agg_bucket(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
@@ -193,11 +195,9 @@ def dedup_broadcast(ds, max_dup_map_rows: int = 2_000_000):
         ),
         batch_format="pyarrow",
     )
-    dups_df = (
-        narrow_ds.groupby("_b")
-        .map_groups(lambda t: agg_bucket(t.drop_columns(["_b"])), batch_format="pyarrow")
-        .to_pandas()
-    )
+    dups_df = bucket_exchange(
+        narrow_ds, "_b", lambda t: agg_bucket(t.drop_columns(["_b"]))
+    ).to_pandas()
     if len(dups_df) > max_dup_map_rows:
         logging.getLogger("titan_ray.dedup").warning(
             "dedup_broadcast: duplicate map has %d rows (> %d) — falling back "
