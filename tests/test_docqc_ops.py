@@ -1837,6 +1837,30 @@ def test_doc_set_cover_twin_default_k_bounded_memory(ray_session):
     assert value_hash(eng) == value_hash(ora)
 
 
+def test_graph_kcore_twin_bounded_memory(ray_session):
+    """The peel-round twin on the gate corpus: inlined, each round's CTEs
+    re-expand every earlier round and ran DuckDB out of 1.8 GiB.
+    Materialized, it finishes inside a 1 GB DuckDB limit and a 60 s
+    watchdog, and hash-matches the engine."""
+    import threading
+
+    from __ray_entry__ import GATE_SF, GATE_SF_DIR
+    from titan_ray.stages.graph import graph_kcore, kcore_sql
+    from tools.check_contract import to_pandas, value_hash
+
+    eng = to_pandas(graph_kcore(GATE_SF_DIR))   # persists the candidate pairs
+    con = duckdb.connect()
+    con.sql("SET memory_limit='1GB'")
+    watchdog = threading.Timer(60, con.interrupt)
+    watchdog.start()
+    try:
+        ora = con.sql(kcore_sql(GATE_SF)).df()
+    finally:
+        watchdog.cancel()
+    assert len(eng) == len(ora) > 0
+    assert value_hash(eng) == value_hash(ora)
+
+
 def test_doc_set_cover_partition_invariant(ray_session):
     """The per-batch local top-1 fold must not depend on block layout."""
     import ray as _ray

@@ -5,9 +5,11 @@ import json
 import os
 import shutil
 
+import pytest
+
 from titan_ray.config import QCConfig
 from titan_ray.corpus import write_corpus
-from titan_ray.state.lineage import manifest_path, run_qc_resumable
+from titan_ray.state.lineage import INFLIGHT_PARTITIONS, manifest_path, run_qc_resumable
 
 
 def _setup(tmp_path):
@@ -83,3 +85,122 @@ def test_fsync_before_manifest_rename(ray_session, tmp_path, monkeypatch):
         assert data and set(data) <= synced
         assert {part_dir + ".tmp", out, mpath + ".tmp"} <= synced
         assert ("fsync", os.path.dirname(mpath)) in events[at:]
+
+
+# ---------------------------------------------------------------------------
+# overlapped partitions: identical output, in-order prefix commit
+
+N_PARTS = 8
+FAIL = 3
+
+
+def _frame(paths):
+    import pandas as pd
+
+    return pd.concat([pd.read_parquet(p) for p in paths], ignore_index=True)
+
+
+def _part_dirs(out: str) -> list[str]:
+    return sorted(os.path.join(out, d) for d in os.listdir(out) if d.startswith("part-"))
+
+
+def _manifest(out: str, i: int) -> dict:
+    with open(manifest_path(out, i)) as fh:
+        return json.load(fh)
+
+
+def _histogram(frame) -> dict:
+    return {str(k): int(v) for k, v in frame["dqcflag"].value_counts().items()}
+
+
+@pytest.fixture(scope="module")
+def eight_parts(ray_session, tmp_path_factory):
+    """An 8-file corpus and one uninterrupted run over 8 one-file partitions."""
+    root = tmp_path_factory.mktemp("lineage8")
+    inp, out = str(root / "corpus"), str(root / "out")
+    write_corpus(inp, 1600, seed=13, shards=N_PARTS, mega=False)
+    s = run_qc_resumable(inp, out, QCConfig(dedup=True), files_per_partition=1)
+    assert s["partitions"] == N_PARTS and s["skipped"] == 0
+    return inp, out
+
+
+def test_overlapped_partitions_match_one_execution_each(eight_parts, tmp_path):
+    """Every part-XXXXX equals build_qc_pipeline over that partition's files
+    alone, in two runs into fresh directories (the repeat catches a race
+    between concurrent path resolutions), and the manifests add up."""
+    import ray.data as rd
+
+    from titan_ray.pipelines.qc import build_qc_pipeline
+    from tools.check_contract import value_hash
+
+    inp, first = eight_parts
+    second = str(tmp_path / "again")
+    run_qc_resumable(inp, second, QCConfig(dedup=True), files_per_partition=1)
+    files = sorted(os.path.join(inp, f) for f in os.listdir(inp))
+    for i, f in enumerate(files):
+        ref = build_qc_pipeline(rd.read_parquet([f]), QCConfig(dedup=True)).to_pandas()
+        for out in (first, second):
+            got = _frame([os.path.join(out, f"part-{i:05d}")])
+            assert value_hash(got) == value_hash(ref), (out, i)
+            m = _manifest(out, i)
+            assert m["inputs"] == [f] and m["rows"] == len(ref)
+            assert m["flag_histogram"] == _histogram(ref)
+    for out in (first, second):
+        total = sum(_manifest(out, i)["rows"] for i in range(N_PARTS))
+        assert total == len(_frame(_part_dirs(out)))
+
+
+@pytest.mark.parametrize("where", ["build", "execute"])
+def test_failed_partition_commits_prefix_then_resumes(eight_parts, tmp_path, monkeypatch, where):
+    """Partition 3 of 8 fails while it is built (main thread) or while it
+    executes (worker thread). The call re-raises; only partitions 0-2 are
+    committed, each naming complete data; no partition past the in-flight
+    window was started; a second call re-runs exactly partitions 3-7 and
+    the final output equals an uninterrupted run's."""
+    import titan_ray.pipelines.qc as qc_mod
+    from tools.check_contract import value_hash
+
+    inp, clean = eight_parts
+    out = str(tmp_path / "out")
+    files = sorted(os.path.join(inp, f) for f in os.listdir(inp))
+    started = []
+    plain = qc_mod.build_qc_pipeline
+
+    def boom(batch):
+        raise RuntimeError("injected partition failure")
+
+    def build(ds, cfg=None, num_buckets=128):
+        part = files.index(ds.input_files()[0])
+        started.append(part)
+        if part == FAIL and where == "build":
+            raise RuntimeError("injected partition failure")
+        ds = plain(ds, cfg, num_buckets=num_buckets)
+        if part == FAIL and where == "execute":
+            ds = ds.map_batches(boom, batch_format="pyarrow")
+        return ds
+
+    monkeypatch.setattr(qc_mod, "build_qc_pipeline", build)
+    with pytest.raises(Exception, match="injected partition failure"):
+        run_qc_resumable(inp, out, QCConfig(dedup=True), files_per_partition=1)
+
+    done = sorted(int(f[5:10]) for f in os.listdir(os.path.join(out, "_lineage")))
+    assert done == list(range(FAIL))
+    for i in done:
+        m = _manifest(out, i)
+        got = _frame([os.path.join(out, f"part-{i:05d}")])
+        assert m["rows"] == len(got) > 0
+        assert m["flag_histogram"] == _histogram(got)
+    assert not [d for d in os.listdir(out) if d.startswith("part-") and not d.endswith(".tmp")
+                and int(d[5:10]) >= FAIL]
+    if where == "build":
+        assert started == list(range(FAIL + 1))
+    else:
+        assert started == list(range(len(started)))
+        assert len(started) <= FAIL + INFLIGHT_PARTITIONS
+
+    started.clear()
+    where = None  # the resumed run injects nothing
+    s = run_qc_resumable(inp, out, QCConfig(dedup=True), files_per_partition=1)
+    assert s["skipped"] == FAIL and started == list(range(FAIL, N_PARTS))
+    assert not [d for d in os.listdir(out) if d.endswith(".tmp")]
+    assert value_hash(_frame(_part_dirs(out))) == value_hash(_frame(_part_dirs(clean)))

@@ -436,3 +436,33 @@ def test_ann_knn_classify(ray_session, tmp_path):
     ora = con.sql(knn_classify_sql()).df()
     assert len(eng) == len(ora) == 500
     assert value_hash(eng) == value_hash(ora)
+
+
+def test_ann_knn_classify_degenerate_inputs(ray_session, tmp_path):
+    """A single vector has no other vector to vote: no row, like the
+    twin. A negative label would alias another row's vote bin: rejected."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from titan_ray.stages.ann import ann_knn_classify, knn_classify_sql
+    from tools.check_contract import to_pandas
+
+    def corpus(name, labels):
+        d = tmp_path / name
+        d.mkdir()
+        n = len(labels)
+        X = np.eye(n, 4, dtype=np.float32) + 0.1
+        pq.write_table(pa.table({"vec_id": pa.array(np.arange(n, dtype=np.int64)),
+                                 "embedding": pa.array(list(X), type=pa.list_(pa.float32())),
+                                 "label": pa.array(np.array(labels, dtype=np.int32))}),
+                       d / "embeddings.parquet")
+        return str(d)
+
+    one = corpus("one", [4])
+    con = duckdb.connect()
+    con.sql(f"CREATE VIEW embeddings AS SELECT * FROM '{one}/embeddings.parquet'")
+    assert len(con.sql(knn_classify_sql()).df()) == 0
+    assert len(to_pandas(ann_knn_classify(one))) == 0
+
+    with pytest.raises(ValueError, match="labels >= 0"):
+        ann_knn_classify(corpus("neg", [0, 1, -1]), k=2)

@@ -215,6 +215,9 @@ def ann_knn_classify(sf_dir: str, k: int = 10):
     all_m = _matrix(t["embedding"])
     all_ids = t["vec_id"].to_numpy().astype(np.int64)
     all_lbl = t["label"].to_numpy().astype(np.int64)
+    if len(all_lbl) and all_lbl.min() < 0:
+        # the vote is one flat bincount over label + row * n_lbl
+        raise ValueError(f"ann_knn_classify needs labels >= 0, got {all_lbl.min()}")
     order = np.argsort(all_ids, kind="stable")
     all_ids, all_lbl, all_m = all_ids[order], all_lbl[order], all_m[order]
     norms = np.sqrt(np.einsum("ij,ij->i", all_m, all_m))
@@ -235,6 +238,10 @@ def ann_knn_classify(sf_dir: str, k: int = 10):
         # float the self row to the TOP of -key — use -(2^62) instead
         key[bid[:, None] == ids_r[None, :]] = -(np.int64(1) << 62)
         kk = min(k, key.shape[1] - 1)
+        if kk <= 0:   # no other vector to vote: no row, as in the twin
+            return pa.table({"vec_id": pa.array([], type=pa.int64()),
+                             "pred_label": pa.array([], type=pa.int64()),
+                             "n_votes": pa.array([], type=pa.int64())})
         top = np.argpartition(-key, kk - 1, axis=1)[:, :kk]
         votes = lbl_r[top]
         flat = votes + np.arange(len(bid))[:, None] * n_lbl

@@ -534,21 +534,27 @@ def graph_kcore(sf_dir: str, k: int = KCORE_K, rounds: int = KCORE_ROUNDS,
 def kcore_sql(sf: float = 0.01, k: int = KCORE_K,
               rounds: int = KCORE_ROUNDS) -> str:
     """DuckDB replay of graph_kcore: the peel rounds unrolled as chained
-    HAVING + double-semi-join CTEs over the same persisted pairs."""
+    HAVING + double-semi-join CTEs over the same persisted pairs.
+
+    Every CTE is MATERIALIZED: each round reads the previous round's edges
+    twice (its HAVING and its join) and its survivors twice, so inlined
+    CTEs re-expand the whole chain of earlier rounds per reference (at
+    sf0.01 that ran DuckDB out of 1.8 GiB). Materializing evaluates each
+    once; the result is the same."""
     from .neardup import candidates_path
 
     path = candidates_path(sf)
     ctes = [
-        f"pairs AS (SELECT doc_a, doc_b FROM read_parquet('{path}'))",
-        "e0 AS (SELECT doc_a AS s, doc_b AS d FROM pairs "
+        f"pairs AS MATERIALIZED (SELECT doc_a, doc_b FROM read_parquet('{path}'))",
+        "e0 AS MATERIALIZED (SELECT doc_a AS s, doc_b AS d FROM pairs "
         "UNION ALL SELECT doc_b, doc_a FROM pairs)",
     ]
     for r in range(1, rounds + 1):
         ctes.append(
-            f"a{r} AS (SELECT s FROM e{r-1} GROUP BY s HAVING count(*) >= {k})"
+            f"a{r} AS MATERIALIZED (SELECT s FROM e{r-1} GROUP BY s HAVING count(*) >= {k})"
         )
         ctes.append(
-            f"e{r} AS (SELECT e.s, e.d FROM e{r-1} e "
+            f"e{r} AS MATERIALIZED (SELECT e.s, e.d FROM e{r-1} e "
             f"JOIN a{r} x ON x.s = e.s JOIN a{r} y ON y.s = e.d)"
         )
     return (

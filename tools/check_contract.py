@@ -1,6 +1,8 @@
 """Local stand-in for the driver's correctness gate: run every queries()
 entry at a given sf and compare against oracle_sql() via DuckDB
-(row count + schema + order-insensitive value hash)."""
+(row count + schema + order-insensitive value hash). Each query's JSON
+entry carries the engine's value hash (engine_hash), so two versions'
+digests compare by diffing two runs."""
 
 from __future__ import annotations
 
@@ -11,6 +13,8 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import pandas as pd
+
+DUCKDB_MEMORY_LIMIT = "4GB"
 
 
 def to_pandas(res) -> pd.DataFrame:
@@ -44,6 +48,9 @@ def main(sf_dir: str, only: list[str] | None = None):
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()
+    # a cap, so one twin cannot starve the host: a twin that needs more
+    # fails as that query's OutOfMemoryException
+    con.sql(f"SET memory_limit='{DUCKDB_MEMORY_LIMIT}'")
     for name in ("region", "nation", "customer", "supplier", "part", "orders",
                  "lineitem", "events", "documents", "embeddings"):
         p = f"{sf_dir}/{name}.parquet"
@@ -56,19 +63,22 @@ def main(sf_dir: str, only: list[str] | None = None):
         qs = {k: v for k, v in qs.items() if k in only}
     results = {}
     for name, fn in qs.items():
+        res = results[name] = {}
         try:
             eng = to_pandas(fn(sf_dir))
+            eng_hash = res["engine_hash"] = value_hash(eng)
+            res["rows"] = len(eng)
             if name not in sqls:
-                results[name] = {"rows": len(eng), "mode": "rows_only", "ok": len(eng) >= 0}
+                res.update(mode="rows_only", ok=True)
                 continue
             ora = con.sql(sqls[name]).df()
             ok_rows = len(eng) == len(ora)
             ok_schema = sorted(map(str.lower, eng.columns)) == sorted(map(str.lower, ora.columns))
-            ok_hash = value_hash(eng) == value_hash(ora) if ok_rows and ok_schema else False
-            results[name] = {"rows": len(eng), "oracle_rows": len(ora),
-                             "schema": ok_schema, "hash": ok_hash, "ok": ok_rows and ok_schema and ok_hash}
+            ok_hash = eng_hash == value_hash(ora) if ok_rows and ok_schema else False
+            res.update(oracle_rows=len(ora), schema=ok_schema, hash=ok_hash,
+                       ok=ok_rows and ok_schema and ok_hash)
         except Exception as e:
-            results[name] = {"error": f"{type(e).__name__}: {str(e)[:200]}", "ok": False}
+            res.update(error=f"{type(e).__name__}: {str(e)[:200]}", ok=False)
     print(json.dumps(results, indent=1, default=str))
     n_ok = sum(1 for r in results.values() if r.get("ok"))
     print(f"{n_ok}/{len(results)} ok")
