@@ -5,7 +5,9 @@ every bucket the block holds, instead of once per bucket. That is correct
 only if the kernels are key-composable: one call over the union of whole
 buckets gives the same rows as one call per bucket. These tests pin that
 property on a fixture with every awkward key the engine meets, then check
-the flagship end to end across block layouts and against the serial oracle.
+the flagship end to end across block layouts and against the serial oracle,
+the operators ported off ``map_groups`` across block layouts and against
+their DuckDB twins, and that no ``map_groups`` call comes back.
 """
 
 import numpy as np
@@ -140,3 +142,143 @@ def test_flagship_block_layout_invariant_and_oracle_equal(ray_session, small_cor
     ora = oracle_qc(small_corpus, cfg).sort_values(KEY, na_position="last").reset_index(drop=True)
     # every column the oracle computes (the engine adds n_chars/n_words/rep_ratio)
     pd.testing.assert_frame_equal(eng[list(ora.columns)], ora, check_exact=True)
+
+
+# Sites allowed to call ``map_groups`` in titan_ray/, as
+# {(path, enclosing top-level function): reason}. Every keyed exchange runs
+# through exchange.bucket_exchange; a site joins this list only if its
+# kernel must see exactly one group and cannot be made key-composable.
+MAP_GROUPS_ALLOWED: dict[tuple[str, str], str] = {}
+
+
+def test_no_second_exchange_idiom():
+    """No ``.map_groups(`` call in titan_ray/ outside MAP_GROUPS_ALLOWED."""
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    found = set()
+    for path in sorted((root / "titan_ray").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "map_groups"):
+                    found.add((str(path.relative_to(root)), getattr(top, "name", "<module>")))
+    assert found <= set(MAP_GROUPS_ALLOWED), sorted(found - set(MAP_GROUPS_ALLOWED))
+
+
+# --- the ported operators under two block layouts -------------------------
+
+
+def _sf_dir() -> str:
+    """The sf0.001 query tables (next to the contract gate's sf0.01)."""
+    import os
+
+    from __ray_entry__ import GATE_SF_DIR
+
+    return os.path.join(os.path.dirname(GATE_SF_DIR), "sf0.001")
+
+
+def _layout_cases() -> dict:
+    """name -> (operator thunk over the sf0.001 tables, DuckDB twin or None)."""
+    import ray.data as rd
+
+    from qcperf.workloads import doc_twins
+    from titan_ray.corpus import generate_corpus
+    from titan_ray.pipelines import docqc, events, qc_battery, relational
+    from titan_ray.stages import ann, bpe, cluster, dedup, graph, neardup
+
+    sf = _sf_dir()
+    twins = doc_twins()
+    cases = {name: (lambda op=getattr(docqc, name, None) or getattr(events, name): op(sf),
+                    twins.get(name))
+             for name in ("dedup_exact_docs", "doc_vocab_size", "doc_decontaminate",
+                          "doc_ngram_novelty", "doc_cms_wordcounts", "corpus_diff",
+                          "events_buddy")}
+    for name, sql in (("doc_token_shards", docqc.token_shards_sql()),
+                      ("doc_mix_interleave", docqc.mix_interleave_sql()),
+                      ("doc_quality_auc", docqc.quality_auc_sql()),
+                      ("doc_source_quota", docqc.source_quota_sql()),
+                      ("doc_hull_points", docqc.hull_sql()),
+                      ("doc_bottomk_per_lang", docqc.bottomk_per_lang_sql()),
+                      ("doc_inverted_index", docqc.inverted_index_sql())):
+        cases[name] = (lambda op=getattr(docqc, name): op(sf), sql)
+    cases.update({
+        "events_funnel": (lambda: events.events_funnel(sf), events.funnel_sql()),
+        "events_value_gmd": (lambda: events.events_value_gmd(sf), events.value_gmd_sql()),
+        "events_asof": (lambda: events.events_asof(sf), None),           # joins.asof_join
+        "events_range": (lambda: events.events_range(sf), None),         # joins.range_join
+        "tpch_sole_returner": (lambda: relational.tpch_sole_returner(sf),
+                               relational.sole_returner_sql()),
+        "doc_bpe_merges": (lambda: bpe.doc_bpe_merges(sf, k=4), bpe.bpe_sql(k=4)),
+        "embedding_mutual_nn": (lambda: ann.embedding_mutual_nn(sf), ann.mutual_nn_sql()),
+        "embedding_neardup_lsh": (lambda: ann.embedding_neardup_lsh(sf), None),
+        "semantic_dedup": (lambda: cluster.semantic_dedup(sf), cluster.semantic_dedup_sql(sf)),
+        "conv_role_transitions": (lambda: qc_battery.conv_role_transitions(sf),
+                                  qc_battery.role_transitions_sql(0.001)),
+        # its twin replays the minhash sketch in SQL: minutes, not seconds
+        "minhash_lsh_candidates": (lambda: neardup.minhash_lsh_candidates(sf), None),
+        "ngram_jaccard_allpairs": (lambda: neardup.ngram_jaccard_allpairs(sf), None),
+        "graph_triangles": (lambda: graph.triangles_from_pairs(
+            neardup.minhash_lsh_candidates(sf).materialize()), None),
+        "dedup_near": (lambda: dedup.dedup_near(rd.from_arrow(generate_corpus(600, seed=7))), None),
+    })
+    return cases
+
+
+LAYOUT_CASES = ("dedup_exact_docs", "doc_vocab_size", "doc_decontaminate", "doc_ngram_novelty",
+                "doc_cms_wordcounts", "corpus_diff", "events_buddy", "doc_token_shards",
+                "doc_mix_interleave", "doc_quality_auc", "doc_source_quota", "doc_hull_points",
+                "doc_bottomk_per_lang", "doc_inverted_index", "events_funnel", "events_value_gmd",
+                "events_asof", "events_range", "tpch_sole_returner", "doc_bpe_merges",
+                "embedding_mutual_nn", "embedding_neardup_lsh", "semantic_dedup",
+                "conv_role_transitions", "minhash_lsh_candidates", "ngram_jaccard_allpairs",
+                "graph_triangles", "dedup_near")
+
+
+@pytest.fixture(scope="module")
+def sf_tables():
+    import os
+
+    import duckdb
+
+    sf = _sf_dir()
+    if not os.path.exists(os.path.join(sf, "documents.parquet")):
+        pytest.skip("sf0.001 query tables absent")
+    con = duckdb.connect()
+    for name in ("customer", "supplier", "part", "orders", "lineitem", "nation", "region",
+                 "events", "documents", "embeddings"):
+        con.sql(f"CREATE VIEW {name} AS SELECT * FROM '{sf}/{name}.parquet'")
+    return con
+
+
+@pytest.mark.parametrize("name", LAYOUT_CASES)
+def test_ported_sites_block_layout_invariant(ray_session, sf_tables, monkeypatch, name):
+    """Each ported operator gives the same value hash with every bucket in
+    one shuffled block and with 29 blocks, and its DuckDB twin's hash."""
+    import importlib
+
+    import titan_ray.exchange as exchange
+    from tools.check_contract import to_pandas, value_hash
+
+    real = exchange.bucket_exchange
+    modules = [importlib.import_module(f"titan_ray.{m}") for m in (
+        "pipelines.docqc", "pipelines.events", "pipelines.qc_battery", "pipelines.relational",
+        "stages.ann", "stages.bpe", "stages.cluster", "stages.dedup", "stages.graph",
+        "stages.joins", "stages.neardup")]
+    op, sql = _layout_cases()[name]
+    hashes = []
+    for blocks in (1, 29):
+        def laid_out(ds, key, fn, blocks=blocks, **kw):
+            return real(ds.repartition(blocks), key, fn, **kw)
+
+        for m in modules:
+            monkeypatch.setattr(m, "bucket_exchange", laid_out)
+        out = to_pandas(op())
+        monkeypatch.undo()
+        assert len(out) > 0
+        hashes.append(value_hash(out))
+    assert hashes[0] == hashes[1]
+    if sql is not None:
+        assert hashes[0] == value_hash(sf_tables.sql(sql).df())

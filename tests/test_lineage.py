@@ -204,3 +204,31 @@ def test_failed_partition_commits_prefix_then_resumes(eight_parts, tmp_path, mon
     assert s["skipped"] == FAIL and started == list(range(FAIL, N_PARTS))
     assert not [d for d in os.listdir(out) if d.endswith(".tmp")]
     assert value_hash(_frame(_part_dirs(out))) == value_hash(_frame(_part_dirs(clean)))
+
+
+def test_empty_partition_commits_and_resumes(ray_session, tmp_path):
+    """A partition whose input has no rows commits as an empty part-XXXXX
+    (rows 0, empty histogram) instead of failing the run: Ray's sink
+    removes the empty output directory before the commit scans it."""
+    import pyarrow.parquet as pq
+
+    src, inp, out = str(tmp_path / "src"), str(tmp_path / "corpus"), str(tmp_path / "out")
+    write_corpus(src, 400, seed=5, shards=2, mega=False)
+    a, b = sorted(os.path.join(src, f) for f in os.listdir(src))
+    os.makedirs(inp)
+    shutil.copy(a, os.path.join(inp, "a.parquet"))
+    pq.write_table(pq.read_table(a).slice(0, 0), os.path.join(inp, "b.parquet"))
+    shutil.copy(b, os.path.join(inp, "c.parquet"))
+
+    s1 = run_qc_resumable(inp, out, QCConfig(), files_per_partition=1)
+    assert s1["partitions"] == 3 and s1["skipped"] == 0
+    ms = [_manifest(out, i) for i in range(3)]
+    assert ms[1]["rows"] == 0 and ms[1]["flag_histogram"] == {}
+    assert ms[0]["rows"] > 0 and ms[2]["rows"] > 0
+    assert os.listdir(os.path.join(out, "part-00001")) == []
+    written = [d for d in _part_dirs(out) if os.listdir(d)]
+    assert s1["rows"] == sum(m["rows"] for m in ms) == len(_frame(written))
+    assert not [d for d in os.listdir(out) if d.endswith(".tmp")]
+
+    s2 = run_qc_resumable(inp, out, QCConfig(), files_per_partition=1)
+    assert s2["skipped"] == 3 and s2["rows"] == s1["rows"]

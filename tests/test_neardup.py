@@ -905,3 +905,44 @@ def test_sorted_neighbors_boundary_stitch(ray_session, tmp_path):
         nd._read_docs = orig
     assert len(eng) == n - 1
     assert (eng["lcp"] >= 27).all()
+
+
+def _dense_adjacent_lcp(texts: pa.Array) -> np.ndarray:
+    """The rows x longest-text NUL-padded matrix form of the adjacent LCP."""
+    from titan_ray.functions.strings import multi_arange, string_view
+
+    data, off, _ = string_view(texts)
+    n = len(off) - 1
+    lens = (off[1:] - off[:-1]).astype(np.int64)
+    mat = np.zeros((n, int(lens.max())), dtype=np.uint8)
+    mat[np.repeat(np.arange(n), lens), multi_arange(np.zeros(n, dtype=np.int64), lens)] = \
+        data[multi_arange(off[:-1].astype(np.int64), lens)]
+    mis = mat[:-1] != mat[1:]
+    return np.where(mis.any(axis=1), mis.argmax(axis=1), np.minimum(lens[:-1], lens[1:]))
+
+
+def test_adjacent_lcp_bounded_memory():
+    """One 256 KB text among ~200 short ones: the windowed LCP equals the
+    dense form, and its peak allocation stays far below the dense matrix
+    (201 x 256 KB, over 50 MB)."""
+    import random
+    import tracemalloc
+
+    from titan_ray.stages.neardup import _adjacent_lcp
+
+    rng = random.Random(3)
+    words = ["alpha", "beta", "gamma", "delta", "data", "date", "dog", "do"]
+    short = [" ".join(rng.choice(words) for _ in range(rng.randint(0, 12))) for _ in range(200)]
+    long_text = ("data " * 52_429)[:262_144]
+    texts = pa.array(sorted(short + [long_text, long_text[:1000], long_text[:1000]]))
+
+    tracemalloc.start()
+    try:
+        got = _adjacent_lcp(texts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = _dense_adjacent_lcp(texts)
+    assert (want >= 1000).sum() >= 2  # long shared prefixes are exercised
+    np.testing.assert_array_equal(got, want)
+    assert peak < 8 << 20, peak

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from ..exchange import bucket_exchange, sum_merge
 from ..functions.features import _TOKEN_PATTERN, token_count
 from ..functions.strings import char_class_counts, multi_arange, string_view
 
@@ -133,8 +135,6 @@ def dedup_exact_docs(sf_dir: str, num_buckets: int = 64):
     stages/dedup.py:125), so only (doc_id, h1, h2) crosses the exchange —
     the document text never leaves the map stage. At corpus scale that
     shrinks the shuffle from the full corpus bytes to ~24 B/doc."""
-    import pandas as pd
-
     from ..stages.dedup import _hash2, _normalize_arrow
 
     ds = _read(sf_dir, ["doc_id", "text"])
@@ -150,12 +150,11 @@ def dedup_exact_docs(sf_dir: str, num_buckets: int = 64):
             }
         )
 
-    def agg(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["h1", "h2"], sort=False)["doc_id"].agg(["min", "count"]).reset_index()
-        return pd.DataFrame({"doc_id": g["min"].astype(np.int64), "n_copies": g["count"].astype(np.int64)})
+    def agg(t: pa.Table) -> pa.Table:
+        g = t.group_by(["h1", "h2"]).aggregate([("doc_id", "min"), ("doc_id", "count")])
+        return pa.table({"doc_id": g["doc_id_min"].cast(pa.int64()), "n_copies": g["doc_id_count"].cast(pa.int64())})
 
-    ds = ds.map_batches(bucketize, batch_format="pyarrow")
-    return ds.groupby("_b").map_groups(agg, batch_format="pandas")
+    return bucket_exchange(ds.map_batches(bucketize, batch_format="pyarrow"), "_b", agg)
 
 
 def doc_langid(sf_dir: str):
@@ -723,17 +722,8 @@ def doc_top_tfidf(sf_dir: str):
                          "df": pa.array(cnt[m].astype(np.int64)),
                          "_b": pa.array(hb.astype(np.int32))})
 
-    def df_merge(t: pa.Table) -> pa.Table:
-        # word-hash bucketing co-locates every partial of a word; a 64-key
-        # shuffle beats a full sort over the string vocabulary. Arrow-native
-        # merge (round-4 verdict item 6).
-        g = t.group_by("word").aggregate([("df", "sum")])
-        return pa.table({"word": g["word"], "df": g["df_sum"]})
-
     df_tbl = (
-        ds.map_batches(df_partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: df_merge(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(ds.map_batches(df_partial, batch_format="pyarrow"), "_b", sum_merge(["word"], ["df"]))
         .to_pandas()  # vocabulary-sized, the documented broadcast bound
     )
     df_ref = ray.put(df_tbl)
@@ -903,8 +893,6 @@ def doc_token_shards(sf_dir: str, budget: int = TOKEN_SHARD_BUDGET,
     so the two passes don't re-tokenize the text (it is ~1000x smaller than
     the input text column).
     """
-    import pandas as pd
-
     ds = _read(sf_dir, ["doc_id", "text"])
 
     def tok(batch: pa.Table) -> pa.Table:
@@ -925,23 +913,20 @@ def doc_token_shards(sf_dir: str, budget: int = TOKEN_SHARD_BUDGET,
 
     parts = counted.map_batches(btot, batch_format="pyarrow").to_pandas()
     tot = parts.groupby("_b")["tok"].sum().sort_index()
-    offs = tot.cumsum().shift(fill_value=0)  # exclusive prefix per bucket
-    off = offs.to_dict()  # bucket -> tokens before this bucket (tiny)
+    buckets = tot.index.to_numpy()
+    offs = (tot.cumsum() - tot).to_numpy()  # exclusive prefix per bucket (tiny)
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:  # typed empty => no schema-mismatch RefBundle warnings
-            return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                                 "token_count": pd.Series(dtype=np.int64),
-                                 "shard": pd.Series(dtype=np.int64)})
-        g = g.sort_values("doc_id")
-        t = g["token_count"].to_numpy()
-        cum = int(off[int(g["_b"].iloc[0])]) + np.concatenate(
-            [[0], np.cumsum(t)[:-1]]
-        ).astype(np.int64)
-        return pd.DataFrame({"doc_id": g["doc_id"].to_numpy(),
-                             "token_count": t, "shard": cum // budget})
+    def per_bucket(t: pa.Table) -> pa.Table:
+        b, did, tc = (t[c].to_numpy() for c in ("_b", "doc_id", "token_count"))
+        o = np.lexsort((did, b))
+        b, did, tc = b[o], did[o], tc[o]
+        excl = np.cumsum(tc) - tc  # exclusive over the block ...
+        first = np.r_[True, b[1:] != b[:-1]]
+        # ... rebased to each bucket's start, plus the bucket's offset
+        cum = offs[np.searchsorted(buckets, b)] + excl - excl[first][np.cumsum(first) - 1]
+        return pa.table({"doc_id": did, "token_count": tc, "shard": (cum // budget).astype(np.int64)})
 
-    return counted.groupby("_b").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(counted, "_b", per_bucket)
 
 
 def token_shards_sql(budget: int = TOKEN_SHARD_BUDGET) -> str:
@@ -1059,22 +1044,9 @@ def _lm_fluency_joined(ds, cnt_ds, _texts, num_buckets: int = 64):
             }
         )
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("doc_id").aggregate([("fluency_sum", "sum"), ("n_bigrams", "sum")])
-        return pa.table(
-            {
-                "doc_id": g["doc_id"],
-                "fluency_sum": g["fluency_sum_sum"],
-                "n_bigrams": g["n_bigrams_sum"],
-            }
-        )
-
-    return (
-        j2.map_batches(partial, batch_format="pyarrow")
-        .union(ds.map_batches(base_rows, batch_format="pyarrow"))
-        .groupby("_b")
-        .map_groups(lambda t: merge(t.drop_columns(["_b"])), batch_format="pyarrow")
-    )
+    both = j2.map_batches(partial, batch_format="pyarrow").union(
+        ds.map_batches(base_rows, batch_format="pyarrow"))
+    return bucket_exchange(both, "_b", sum_merge(["doc_id"], ["fluency_sum", "n_bigrams"]))
 
 
 def doc_lm_fluency(sf_dir: str, max_vocab: int = MAX_LM_VOCAB):
@@ -1112,22 +1084,12 @@ def doc_lm_fluency(sf_dir: str, max_vocab: int = MAX_LM_VOCAB):
             }
         )
 
-    def merge_counts(t: pa.Table) -> pa.Table:
-        # every partial of an h lands in its bucket, so a per-bucket sum IS
-        # the global sum; 64 distinct shuffle keys keep Ray's sort-shuffle a
-        # cheap exchange instead of a full sort over the raw gram space
-        # (same restructure as doc_dup_spans, measured 11x there).
-        # Arrow-native merge (round-4 verdict item 6).
-        g = t.group_by(["kind", "h"]).aggregate([("c", "sum")])
-        return pa.table({"kind": g["kind"], "h": g["h"], "c": g["c_sum"]})
-
     # vocabulary-sized count table, materialized ONCE (small relative to the
     # corpus: distinct grams, not gram occurrences) so the path decision
     # below doesn't recompute the counting pass
     cnt_ds = (
-        ds.map_batches(counts_partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: merge_counts(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(ds.map_batches(counts_partial, batch_format="pyarrow"),
+                        "_b", sum_merge(["kind", "h"], ["c"]))
         .materialize()
     )
     if cnt_ds.count() > max_vocab:
@@ -1284,19 +1246,19 @@ def doc_source_quota(sf_dir: str, per_source: int = SOURCE_QUOTA_N):
         )
 
     def per_source_thr(t: pa.Table) -> pa.Table:
-        did = np.sort(t["doc_id"].to_numpy(zero_copy_only=False))
-        thr = did[min(per_source, len(did)) - 1]
-        return pa.table(
-            {"source": pa.array([t["source"][0].as_py()], type=pa.string()),
-             "thr": pa.array([thr])}
-        )
+        # each source's per_source-th smallest doc_id (or its largest)
+        src = np.asarray(t["source"].to_pandas(), dtype=object)
+        did = t["doc_id"].to_numpy(zero_copy_only=False)
+        order = np.lexsort((did, src))
+        s_sorted, d_sorted = src[order], did[order]
+        starts = np.flatnonzero(np.r_[True, s_sorted[1:] != s_sorted[:-1]])
+        last = np.minimum(starts + per_source, np.r_[starts[1:], len(order)]) - 1
+        return pa.table({"source": pa.array(s_sorted[last], type=pa.string()),
+                         "thr": pa.array(d_sorted[last])})
 
-    thr_df = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("source")
-        .map_groups(per_source_thr, batch_format="pyarrow")
-        .to_pandas()  # n_sources rows
-    )
+    # n_sources rows
+    thr_df = bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                             "source", per_source_thr).to_pandas()
     thr = dict(zip(thr_df["source"], thr_df["thr"]))
 
     def keep(batch: pa.Table) -> pa.Table:
@@ -1902,14 +1864,9 @@ def doc_bm25_topk(sf_dir: str, query: tuple[str, ...] = BM25_QUERY, k: int = BM2
             }
         )
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("doc_id").aggregate([("bm25_scaled", "sum")])
-        return pa.table({"doc_id": g["doc_id"], "bm25_scaled": g["bm25_scaled_sum"]})
-
     return (
-        cand.map_batches(score, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: merge(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(cand.map_batches(score, batch_format="pyarrow"),
+                        "_b", sum_merge(["doc_id"], ["bm25_scaled"]))
         .sort(["bm25_scaled", "doc_id"], descending=[True, False])
         .limit(k)
     )
@@ -1949,7 +1906,7 @@ def doc_vocab_size(sf_dir: str, num_buckets: int = 64):
 
     Scale shape: per-batch np.unique collapses each batch to its LOCAL
     (lang, word-hash) vocabulary before the exchange; ONE bucket-keyed
-    groupby on hash % B co-locates every occurrence of a (lang, word), so
+    exchange on hash % B co-locates every occurrence of a (lang, word), so
     the per-bucket distinct count is final and the last merge sums
     |langs| x B tiny partials."""
     import pandas as pd
@@ -1987,23 +1944,21 @@ def doc_vocab_size(sf_dir: str, num_buckets: int = 64):
         )
 
     def merge(t: pa.Table) -> pa.Table:
-        kinds = t["kind"].to_numpy(zero_copy_only=False)
-        if (kinds == 0).all():           # the stats bucket: sum token partials
-            g = t.group_by("lang").aggregate([("n", "sum")])
-            return pa.table({"lang": g["lang"], "n_types": pa.array(np.zeros(len(g), dtype=np.int64)),
-                             "n_tokens": g["n_sum"]})
-        lang = t["lang"].to_pandas().to_numpy(dtype=object)
-        h = t["h"].to_numpy(zero_copy_only=False)
-        lc, lu = pd.factorize(lang)
-        key = np.unique(np.stack([lc.astype(np.int64), h]), axis=1)
-        types = np.bincount(key[0], minlength=len(lu)).astype(np.int64)
-        return pa.table({"lang": pa.array(lu, type=pa.string()), "n_types": pa.array(types),
-                         "n_tokens": pa.array(np.zeros(len(lu), dtype=np.int64))})
+        # token partials (kind 0, all in the stats bucket) sum per lang; word
+        # rows (kind 1) count their distinct (lang, hash) pairs per lang
+        tok = pc.equal(t["kind"], 0)
+        n_tok = t.filter(tok).group_by("lang").aggregate([("n", "sum")])
+        n_typ = (t.filter(pc.invert(tok)).group_by(["lang", "h"]).aggregate([])
+                 .group_by("lang").aggregate([("h", "count")]))
+        return pa.concat_tables([
+            pa.table({"lang": n_tok["lang"].cast(pa.string()),
+                      "n_types": pa.array(np.zeros(n_tok.num_rows, dtype=np.int64)), "n_tokens": n_tok["n_sum"]}),
+            pa.table({"lang": n_typ["lang"].cast(pa.string()), "n_types": n_typ["h_count"],
+                      "n_tokens": pa.array(np.zeros(n_typ.num_rows, dtype=np.int64))}),
+        ])
 
     out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: merge(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"), "_b", merge)
         .groupby("lang")
         .sum(["n_types", "n_tokens"])
     )
@@ -2102,9 +2057,7 @@ def corpus_diff(sf_dir: str, num_buckets: int = 64):
         )
 
     return (
-        a.union(b)
-        .groupby("_b")
-        .map_groups(lambda t: per_bucket(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(a.union(b), "_b", per_bucket)
     )
 
 
@@ -2223,11 +2176,10 @@ def embedding_lang_centroids(sf_dir: str, num_buckets: int = 64):
             }
         )
 
+    both = emb.map_batches(emb_side, batch_format="pyarrow").union(
+        docs.map_batches(doc_side, batch_format="pyarrow"))
     out = (
-        emb.map_batches(emb_side, batch_format="pyarrow")
-        .union(docs.map_batches(doc_side, batch_format="pyarrow"))
-        .groupby("_b")
-        .map_groups(lambda t: per_bucket(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(both, "_b", per_bucket)
         .groupby(["lang", "dim"])
         .sum(["sum_q", "n"])
     )
@@ -2334,14 +2286,9 @@ def doc_ngram_novelty(sf_dir: str, n: int = NOVELTY_N, num_buckets: int = 64):
             }
         )
 
-    return (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: per_gram_bucket(t.drop_columns(["_b"])), batch_format="pyarrow")
-        .union(_read(sf_dir, ["doc_id"]).map_batches(base, batch_format="pyarrow"))
-        .groupby("_b2")
-        .map_groups(lambda t: merge(t.drop_columns(["_b2"])), batch_format="pyarrow")
-    )
+    grams = bucket_exchange(ds.map_batches(pairs, batch_format="pyarrow"), "_b", per_gram_bucket)
+    return bucket_exchange(grams.union(_read(sf_dir, ["doc_id"]).map_batches(base, batch_format="pyarrow")),
+                           "_b2", merge)
 
 
 def ngram_novelty_sql(n: int = NOVELTY_N) -> str:
@@ -2540,14 +2487,9 @@ def doc_cms_wordcounts(sf_dir: str, num_buckets: int = 64):
             }
         )
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["r", "bucket"]).aggregate([("c", "sum")])
-        return pa.table({"r": g["r"], "bucket": g["bucket"], "c": g["c_sum"]})
-
     cells = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: merge(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                        "_b", sum_merge(["r", "bucket"], ["c"]))
         .to_pandas()   # exactly <= d x w rows by construction
     )
     sketch = np.zeros((depth, width), dtype=np.int64)
@@ -2705,9 +2647,7 @@ def doc_vocab_hll(sf_dir: str, num_buckets: int = 64):
         )
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: merge(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"), "_b", merge)
     )
 
 
@@ -2777,7 +2717,7 @@ def doc_bottomk_per_lang(sf_dir: str, k: int = BOTTOMK_PER_LANG):
     Scale shape: each batch reduces to <= k rows per lang present (one
     lexsort + rank-within-group, no Python loop); the exchange then
     carries only the pre-reduced candidate stream into one tiny
-    groupby(lang) whose per-group final pass re-applies the same
+    lang-keyed exchange whose per-block final pass re-applies the same
     selection. DuckDB twin: row_number() OVER (PARTITION BY lang ORDER BY
     h, doc_id) <= k."""
     import pandas as pd
@@ -2803,20 +2743,8 @@ def doc_bottomk_per_lang(sf_dir: str, k: int = BOTTOMK_PER_LANG):
             {"doc_id": pa.array(d), "lang": pa.array(l, type=pa.string()), "h": pa.array(hh)}
         )
 
-    def final(t: pa.Table) -> pa.Table:
-        did = t["doc_id"].to_numpy(zero_copy_only=False)
-        h = t["h"].to_numpy(zero_copy_only=False)
-        lang = np.asarray(t["lang"].to_pandas(), dtype=object)
-        d, l, hh = topk(did, lang, h)
-        return pa.table(
-            {"doc_id": pa.array(d), "lang": pa.array(l, type=pa.string()), "h": pa.array(hh)}
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .map_groups(final, batch_format="pyarrow")
-    )
+    # the final pass re-applies the same selection (h is a function of doc_id)
+    return bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"), "lang", partial)
 
 
 def bottomk_per_lang_sql(k: int = BOTTOMK_PER_LANG) -> str:
@@ -3014,9 +2942,7 @@ def doc_bloom_probe(sf_dir: str, num_buckets: int = 64):
         return pa.table({"pos": pa.array(np.unique(t["pos"].to_numpy(zero_copy_only=False)))})
 
     pos = (
-        ds.map_batches(build_partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: merge(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(ds.map_batches(build_partial, batch_format="pyarrow"), "_b", merge)
         .to_pandas()["pos"].to_numpy()   # <= m distinct bit positions
     )
     bits = np.zeros(1 << (BLOOM_LOG2_M - 6), dtype=np.uint64)   # packed 2^16 bits
@@ -3227,29 +3153,26 @@ def doc_inverted_index(sf_dir: str, min_df: int = INDEX_MIN_DF,
             }
         )
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"term": pd.Series([], dtype=object),
-                                 "df": pd.Series([], dtype=np.int64),
-                                 "cf": pd.Series([], dtype=np.int64),
-                                 "postings": pd.Series([], dtype=object)})
-        df = df.sort_values(["term", "doc_id"], kind="mergesort")
-        part = df["doc_id"].astype(str) + ":" + df["tf"].astype(str)
-        g = df.groupby("term", sort=False)
-        out = pd.DataFrame(
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("term", "ascending"), ("doc_id", "ascending")])
+        term = t["term"].to_numpy(zero_copy_only=False)
+        starts = np.flatnonzero(np.r_[True, term[1:] != term[:-1]])
+        ends = np.r_[starts[1:], len(term)]
+        cf = np.add.reduceat(t["tf"].to_numpy(), starts).astype(np.int64)
+        keep = ends - starts >= min_df
+        starts, ends, cf = starts[keep], ends[keep], cf[keep]
+        part = pc.binary_join_element_wise(pc.cast(t["doc_id"], pa.string()),
+                                           pc.cast(t["tf"], pa.string()), ":").to_pylist()
+        return pa.table(
             {
-                "df": g.size().astype(np.int64),
-                "cf": g["tf"].sum().astype(np.int64),
-                "postings": part.groupby(df["term"], sort=False).agg(",".join),
+                "term": pa.array(term[starts], type=pa.string()),
+                "df": pa.array((ends - starts).astype(np.int64)),
+                "cf": pa.array(cf),
+                "postings": pa.array([",".join(part[s_:e_]) for s_, e_ in zip(starts, ends)], type=pa.string()),
             }
-        ).reset_index()
-        return out[out["df"] >= min_df][["term", "df", "cf", "postings"]]
+        )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda d: per_bucket(d.drop(columns=["_b"])), batch_format="pandas")
-    )
+    return bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"), "_b", per_bucket)
 
 
 def inverted_index_sql(min_df: int = INDEX_MIN_DF) -> str:
@@ -3383,7 +3306,7 @@ def doc_segment_dedup(sf_dir: str, w: int = SEG_W, num_buckets: int = 64,
     reassembles (text never crosses the wire); above it, the per-segment
     stream probes the winners via stages.joins.hash_join on the hash and
     the kept (doc_id, seg_idx) pairs co-partition with the documents on a
-    doc-bucket groupby (text crosses exactly one exchange). Both paths are
+    doc-bucket exchange (text crosses exactly one exchange). Both paths are
     bit-identical (unit-tested, same contract as dedup_clusters)."""
     import ray
 
@@ -3418,9 +3341,7 @@ def doc_segment_dedup(sf_dir: str, w: int = SEG_W, num_buckets: int = 64,
         return pa.table({"h": pa.array(hs[first]), "wkey": pa.array(ks[first])})
 
     winners = (
-        ds.map_batches(winner_partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: bucket_min(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(ds.map_batches(winner_partial, batch_format="pyarrow"), "_b", bucket_min)
         .materialize()
     )
 
@@ -3514,7 +3435,7 @@ def doc_segment_dedup(sf_dir: str, w: int = SEG_W, num_buckets: int = 64,
 
         return _reassemble(docs, w, keep_member)
 
-    return unioned.groupby("_b").map_groups(per_bucket, batch_format="pyarrow")
+    return bucket_exchange(unioned, "_b", per_bucket)
 
 
 def segment_dedup_sql(w: int = SEG_W) -> str:
@@ -3741,9 +3662,7 @@ def doc_simpson_diversity(sf_dir: str, num_buckets: int = 64):
         )
 
     parts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: moments(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"), "_b", moments)
         .to_pandas()   # <= num_buckets x |langs| rows
     )
     if parts.empty:
@@ -3946,13 +3865,6 @@ def doc_cosine_pairs(sf_dir: str, tau2_e6: int = COS_TAU2_E6,
         )
 
     def word_bucket(t: pa.Table) -> pa.Table:
-        empty = pa.table({"kind": pa.array([], pa.int8()),
-                          "a": pa.array([], pa.int64()),
-                          "b": pa.array([], pa.int64()),
-                          "v": pa.array([], pa.int64()),
-                          "_b2": pa.array([], pa.int32())})
-        if t.num_rows == 0:
-            return empty
         h = t["h"].to_numpy(zero_copy_only=False)
         doc = t["doc_id"].to_numpy(zero_copy_only=False)
         f = t["f"].to_numpy(zero_copy_only=False)
@@ -3988,9 +3900,6 @@ def doc_cosine_pairs(sf_dir: str, tau2_e6: int = COS_TAU2_E6,
                          "_b2": pa.array(b2.astype(np.int32))})
 
     def pair_bucket(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"kind": pa.array([], pa.int8()), "a": pa.array([], pa.int64()),
-                             "b": pa.array([], pa.int64()), "v": pa.array([], pa.int64())})
         kind = t["kind"].to_numpy(zero_copy_only=False)
         a = t["a"].to_numpy(zero_copy_only=False)
         b = t["b"].to_numpy(zero_copy_only=False)
@@ -4003,14 +3912,8 @@ def doc_cosine_pairs(sf_dir: str, tau2_e6: int = COS_TAU2_E6,
         return pa.table({"kind": pa.array(kind[starts]), "a": pa.array(a[starts]),
                          "b": pa.array(b[starts]), "v": pa.array(sums.astype(np.int64))})
 
-    agg = (
-        ds.map_batches(tf_partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: word_bucket(t.drop_columns(["_b"])), batch_format="pyarrow")
-        .groupby("_b2")
-        .map_groups(lambda t: pair_bucket(t.drop_columns(["_b2"])), batch_format="pyarrow")
-        .materialize()                                # pair-sized, reused by both splits
-    )
+    words = bucket_exchange(ds.map_batches(tf_partial, batch_format="pyarrow"), "_b", word_bucket)
+    agg = bucket_exchange(words, "_b2", pair_bucket).materialize()  # pair-sized, reused by both splits
     if agg.schema() is None or agg.count() == 0:      # everything df-pruned
         return pa.table({"doc_a": pa.array([], pa.int64()),
                          "doc_b": pa.array([], pa.int64()),
@@ -4538,27 +4441,17 @@ def doc_collocations(sf_dir: str, minsup: int = LIFT_MINSUP,
                          "c12": pa.array(g["c12"].to_numpy().astype(np.int64)),
                          "_b": pa.array(bk)})
 
-    def merge_uni(t: pa.Table) -> pa.Table:
-        g = t.group_by("wd").aggregate([("c", "sum")])
-        return pa.table({"wd": g["wd"], "c": g["c_sum"]})
-
     def merge_big(t: pa.Table) -> pa.Table:
         g = t.group_by(["w1", "w2"]).aggregate([("c12", "sum")])
         g = g.filter(pc.greater_equal(g["c12_sum"], minsup))   # prune in-merge
         return pa.table({"w1": g["w1"], "w2": g["w2"], "c12": g["c12_sum"]})
 
     uni = (
-        ds.map_batches(uni_partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: merge_uni(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(ds.map_batches(uni_partial, batch_format="pyarrow"), "_b", sum_merge(["wd"], ["c"]))
         .materialize()   # vocabulary-sized: feeds N + both margin joins
     )
     n_tokens = int(uni.sum("c") or 0)
-    big = (
-        ds.map_batches(big_partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: merge_big(t.drop_columns(["_b"])), batch_format="pyarrow")
-    )
+    big = bucket_exchange(ds.map_batches(big_partial, batch_format="pyarrow"), "_b", merge_big)
     j1 = hash_join(big, uni.map_batches(
         lambda t: pa.table({"w1": t["wd"], "c": t["c"]}), batch_format="pyarrow"),
         on="w1", right_cols=("c",), num_buckets=num_buckets)
@@ -4662,23 +4555,24 @@ def doc_mix_interleave(sf_dir: str, bucket_range: int = MIX_RANGE):
     off = tot.groupby(level=0).cumsum() - tot
     off = off.to_dict()
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                                 "source": pd.Series(dtype=object),
-                                 "src_rank": pd.Series(dtype=np.int64),
-                                 "mix_key": pd.Series(dtype=np.int64)})
-        g = g.sort_values("doc_id")
-        b = int(g["_b"].iloc[0])
-        base = g["source"].map(lambda s: off[(s, b)]).to_numpy(dtype=np.int64)
-        r = base + g.groupby("source", sort=False).cumcount().to_numpy(dtype=np.int64)
-        w = g["source"].map(_mix_weight_py).to_numpy(dtype=np.int64)
-        return pd.DataFrame({"doc_id": g["doc_id"].to_numpy(),
-                             "source": g["source"].to_numpy(),
-                             "src_rank": r,
-                             "mix_key": ((r + 1) * MIX_STRIDE) // w})
+    def per_bucket(t: pa.Table) -> pa.Table:
+        b = t["_b"].to_numpy()
+        did = t["doc_id"].to_numpy()
+        src = np.asarray(t["source"].to_pandas(), dtype=object)
+        o = np.lexsort((did, src, b))
+        b, did, src = b[o], did[o], src[o]
+        starts = np.flatnonzero(np.r_[True, (b[1:] != b[:-1]) | (src[1:] != src[:-1])])
+        new = np.zeros(len(o), dtype=bool)
+        new[starts] = True
+        run = np.cumsum(new) - 1
+        # each (source, bucket) run: the broadcast offset plus the in-run rank
+        base = np.array([off[(s_, int(b_))] for s_, b_ in zip(src[starts], b[starts])], dtype=np.int64)
+        w = np.array([_mix_weight_py(s_) for s_ in src[starts]], dtype=np.int64)
+        r = base[run] + np.arange(len(o)) - starts[run]
+        return pa.table({"doc_id": pa.array(did), "source": pa.array(src, type=pa.string()),
+                         "src_rank": pa.array(r), "mix_key": pa.array(((r + 1) * MIX_STRIDE) // w[run])})
 
-    return slim.groupby("_b").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(slim, "_b", per_bucket)
 
 
 def mix_interleave_sql() -> str:
@@ -4865,11 +4759,7 @@ def doc_hull_points(sf_dir: str):
                          "x": pa.array(np.concatenate(out_x)),
                          "y": pa.array(np.concatenate(out_y))})
 
-    return (
-        ds.map_batches(local_hull, batch_format="pyarrow")
-        .groupby("lang")
-        .map_groups(merge_hull, batch_format="pyarrow")
-    )
+    return bucket_exchange(ds.map_batches(local_hull, batch_format="pyarrow"), "lang", merge_hull)
 
 
 def hull_sql() -> str:
@@ -5075,33 +4965,31 @@ def doc_quality_auc(sf_dir: str):
                          "nn": pa.array(nn_c), "_b": pa.array(b.astype(np.int32))})
 
     def bucket_row(t: pa.Table) -> pa.Table:
+        # one row per value-range bucket: its (pos, neg) totals and its
+        # within-bucket doubled numerator (buckets are monotone in score)
         s = t["s"].to_numpy(zero_copy_only=False)
-        npc = t["np"].to_numpy(zero_copy_only=False)
-        nnc = t["nn"].to_numpy(zero_copy_only=False)
         u, inv = np.unique(s, return_inverse=True)
         P = np.zeros(len(u), dtype=np.int64)
         N = np.zeros(len(u), dtype=np.int64)
-        np.add.at(P, inv, npc)
-        np.add.at(N, inv, nnc)
-        below, num2 = 0, 0           # exact Python ints (limb emission)
-        for i in range(len(u)):      # value-domain-bounded loop, not corpus
-            p, n = int(P[i]), int(N[i])
-            num2 += 2 * p * below + p * n
-            below += n
+        np.add.at(P, inv, t["np"].to_numpy(zero_copy_only=False))
+        np.add.at(N, inv, t["nn"].to_numpy(zero_copy_only=False))
+        bu = np.empty(len(u), dtype=np.int64)
+        bu[inv] = t["_b"].to_numpy(zero_copy_only=False)
+        starts = np.flatnonzero(np.r_[True, bu[1:] != bu[:-1]])
+        Po, No = P.astype(object), N.astype(object)  # exact Python ints (limb emission)
+        below = np.cumsum(No) - No
+        below -= np.repeat(below[starts], np.diff(np.r_[starts, len(u)]))
+        num2 = np.add.reduceat(2 * Po * below + Po * No, starts)
         return pa.table({
-            "b": pa.array([int(t["_b"][0].as_py())], type=pa.int64()),
-            "pos": pa.array([int(P.sum())], type=pa.int64()),
-            "neg": pa.array([int(N.sum())], type=pa.int64()),
-            "num2_lo": pa.array([num2 % 10**18], type=pa.int64()),
-            "num2_hi": pa.array([num2 // 10**18], type=pa.int64()),
+            "b": pa.array(bu[starts], type=pa.int64()),
+            "pos": pa.array(np.add.reduceat(P, starts), type=pa.int64()),
+            "neg": pa.array(np.add.reduceat(N, starts), type=pa.int64()),
+            "num2_lo": pa.array([int(x) % 10**18 for x in num2], type=pa.int64()),
+            "num2_hi": pa.array([int(x) // 10**18 for x in num2], type=pa.int64()),
         })
 
-    rows = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(bucket_row, batch_format="pyarrow")
-        .take_all()                  # <= _AUC_B rows, never the score table
-    )
+    # <= _AUC_B rows, never the score table
+    rows = bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"), "_b", bucket_row).take_all()
     rows.sort(key=lambda r: r["b"])
     num2, below, p_tot, n_tot = 0, 0, 0, 0
     for r in rows:
@@ -5230,10 +5118,7 @@ def doc_split_leakage(sf_dir: str, n: int = DECONTAM_N, num_buckets: int = 64):
                          "l": pa.array(ltot)})
 
     agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: per_bucket(t.drop_columns(["_b"])),
-                    batch_format="pyarrow")
+        bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"), "_b", per_bucket)
         .groupby("doc_id")
         .sum(["g", "l"])
     )
@@ -5505,11 +5390,6 @@ def lang_vocab_jaccard(sf_dir: str, num_buckets: int = 64):
         })
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        empty = pa.table({"lang_a": pa.array([], type=pa.string()),
-                          "lang_b": pa.array([], type=pa.string()),
-                          "cnt": pa.array([], type=pa.int64())})
-        if t.num_rows == 0:
-            return empty
         lang = t["lang"].to_numpy(zero_copy_only=False)
         h = t["h"].to_numpy(zero_copy_only=False)
         lcode, uniq = pd_factorize_stable(lang)
@@ -5532,10 +5412,7 @@ def lang_vocab_jaccard(sf_dir: str, num_buckets: int = 64):
         return pa.table({"lang_a": pa.array(uniq[ka]), "lang_b": pa.array(uniq[kb]),
                          "cnt": pa.array(cnt)})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("_b")
-           .map_groups(lambda t: per_bucket(t.drop_columns(["_b"])),
-                       batch_format="pyarrow")
+    agg = (bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"), "_b", per_bucket)
            .groupby(["lang_a", "lang_b"])
            .sum("cnt"))
     df = agg.to_pandas()    # <= |langs|^2 rows
@@ -5807,17 +5684,13 @@ def doc_pretrain_build(sf_dir: str, capacity: int = PACK_CAPACITY,
                          "h1": pa.array(h1), "h2": pa.array(h2),
                          "_b": pa.array((h1 % num_buckets).astype(np.int32))})
 
-    def dup_groups(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["h1", "h2"], sort=False)["doc_id"].agg(["min", "count"]).reset_index()
-        g = g[g["count"] > 1]
-        return pd.DataFrame({"h1": g["h1"], "h2": g["h2"],
-                             "keep_doc": g["min"].astype(np.int64)})
+    def dup_groups(t: pa.Table) -> pa.Table:
+        g = t.group_by(["h1", "h2"]).aggregate([("doc_id", "min"), ("doc_id", "count")])
+        g = g.filter(pc.greater(g["doc_id_count"], 1))
+        return pa.table({"h1": g["h1"], "h2": g["h2"], "keep_doc": g["doc_id_min"].cast(pa.int64())})
 
-    dups = (survivors.map_batches(hash_narrow, batch_format="pyarrow")
-            .groupby("_b")
-            .map_groups(lambda d: dup_groups(d.drop(columns=["_b"])),
-                        batch_format="pandas")
-            .to_pandas())
+    dups = bucket_exchange(survivors.map_batches(hash_narrow, batch_format="pyarrow"),
+                           "_b", dup_groups).to_pandas()
     if len(dups) > MAX_BUILD_DUP_MAP:
         raise ValueError(
             f"doc_pretrain_build: dup map {len(dups)} rows > "

@@ -40,6 +40,7 @@ import pyarrow as pa
 
 from ..config import QCConfig
 from ..corpus import corpus_path_for_sf
+from ..exchange import bucket_exchange
 from ..schema import (
     CODE_BUDDY,
     CODE_DUAL_FG,
@@ -924,9 +925,7 @@ def conv_role_transitions(sf_dir: str):
         )
 
     return (
-        ds.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: per_bucket(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(ds.map_batches(bucketize, batch_format="pyarrow"), "_b", per_bucket)
         .groupby(["role", "next_role"])
         .sum("n")
         .map_batches(

@@ -15,6 +15,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..exchange import bucket_exchange, sum_merge
 from ..sources.reader import read_parquet_clean
 from ..stages.ann import round_half_away
 
@@ -410,8 +411,7 @@ def tpch_cust_no_orders(sf_dir: str, since: str = DORMANT_SINCE,
         )
 
     parts = (
-        both.groupby("_b")
-        .map_groups(lambda t: anti(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(both, "_b", anti)
         .to_pandas()   # <= num_buckets x |nations| partial rows
     )
     if parts.empty:   # all buckets empty -> Ray yields a column-less frame
@@ -500,9 +500,7 @@ def tpch_top_lineitem(sf_dir: str, num_buckets: int = 64):
         )
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: per_bucket(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"), "_b", per_bucket)
     )
 
 
@@ -573,11 +571,7 @@ def tpch_min_cost_supplier(sf_dir: str, num_buckets: int = 64):
             }
         )
 
-    mins = (
-        ds.map_batches(min_partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: bucket_min(t.drop_columns(["_b"])), batch_format="pyarrow")
-    )
+    mins = bucket_exchange(ds.map_batches(min_partial, batch_format="pyarrow"), "_b", bucket_min)
 
     def cand_partial(batch: pa.Table) -> pa.Table:
         pk = batch["l_partkey"].to_numpy(zero_copy_only=False)
@@ -632,8 +626,7 @@ def tpch_min_cost_supplier(sf_dir: str, num_buckets: int = 64):
         )
 
     return (
-        unioned.groupby("_b")
-        .map_groups(lambda t: per_bucket(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(unioned, "_b", per_bucket)
     )
 
 
@@ -724,8 +717,7 @@ def tpch_order_priority(sf_dir: str, date_from: str = Q4_FROM,
         )
 
     parts = (
-        both.groupby("_b")
-        .map_groups(lambda t: semi(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(both, "_b", semi)
         .to_pandas()   # <= num_buckets x |priorities| partial rows
     )
     if parts.empty:
@@ -813,8 +805,7 @@ def tpch_cust_order_dist(sf_dir: str, num_buckets: int = 64):
         )
 
     parts = (
-        both.groupby("_b")
-        .map_groups(lambda t: hist(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(both, "_b", hist)
         .to_pandas()   # <= num_buckets x |distinct counts| partial rows
     )
     if parts.empty:
@@ -884,17 +875,12 @@ def tpch_small_qty_revenue(sf_dir: str, num_buckets: int = 64,
             }
         )
 
-    def merge_agg(t: pa.Table) -> pa.Table:
-        g = t.group_by("partkey").aggregate([("n", "sum"), ("sq", "sum")])
-        return pa.table({"partkey": g["partkey"], "n": g["n_sum"], "sq": g["sq_sum"]})
-
     agg_ds = (
         # batch_size=None => whole-block batches: the combiner collapses a
         # block's lines to its DISTINCT parts (Ray's 1024-row default would
         # emit ~one partial row per line, nullifying the pre-aggregation)
-        line.map_batches(agg_partial, batch_format="pyarrow", batch_size=None)
-        .groupby("_b")
-        .map_groups(lambda t: merge_agg(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(line.map_batches(agg_partial, batch_format="pyarrow", batch_size=None),
+                        "_b", sum_merge(["partkey"], ["n", "sq"]))
         .materialize()   # vocabulary-sized: distinct parts, not lines
     )
 
@@ -981,8 +967,7 @@ def tpch_small_qty_revenue(sf_dir: str, num_buckets: int = 64,
         )
 
     parts = (
-        both.groupby("_b")
-        .map_groups(lambda t: gate(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(both, "_b", gate)
         .to_pandas()   # num_buckets rows
     )
     return final(parts)
@@ -1072,9 +1057,7 @@ def tpch_topn_lineitems(sf_dir: str, n: int = TOPN_PER_ORDER, num_buckets: int =
         )
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: per_bucket(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"), "_b", per_bucket)
     )
 
 
@@ -1135,16 +1118,9 @@ def tpch_part_revenue_share(sf_dir: str, denom: int = SHARE_DENOM,
         g["_b"] = (g["l_partkey"].to_numpy() % num_buckets).astype(np.int32)
         return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("l_partkey").aggregate([("revenue_1e4", "sum")])
-        return pa.table(
-            {"l_partkey": g["l_partkey"], "revenue_1e4": g["revenue_1e4_sum"]}
-        )
-
     per_part = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: merge(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                        "_b", sum_merge(["l_partkey"], ["revenue_1e4"]))
         .materialize()     # dimension-sized; reused by both passes below
     )
     total = int(per_part.aggregate(Sum("revenue_1e4"))["sum(revenue_1e4)"])
@@ -1242,25 +1218,14 @@ def tpch_sole_returner(sf_dir: str, num_buckets: int = 64):
         g["n_orders"] = g["n_orders"].astype(np.int64)
         return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
 
-    def final_merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("suppkey").aggregate([("n_orders", "sum")])
-        return pa.table({"suppkey": g["suppkey"], "n_orders": g["n_orders_sum"]})
-
-    per_supp = (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: per_bucket(t.drop_columns(["_b"])), batch_format="pyarrow")
+    per_supp = bucket_exchange(ds.map_batches(pairs, batch_format="pyarrow"), "_b", per_bucket)
+    per_supp = per_supp.map_batches(
+        lambda t: t.append_column(
+            "_s", pa.array((t["suppkey"].to_numpy(zero_copy_only=False) % num_buckets).astype(np.int32))
+        ),
+        batch_format="pyarrow",
     )
-    return (
-        per_supp.map_batches(
-            lambda t: t.append_column(
-                "_s", pa.array((t["suppkey"].to_numpy(zero_copy_only=False) % num_buckets).astype(np.int32))
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("_s")
-        .map_groups(lambda t: final_merge(t.drop_columns(["_s"])), batch_format="pyarrow")
-    )
+    return bucket_exchange(per_supp, "_s", sum_merge(["suppkey"], ["n_orders"]))
 
 
 def sole_returner_sql() -> str:
@@ -1346,13 +1311,9 @@ def tpch_fk_audit(sf_dir: str, num_buckets: int = 64):
                 "n_keys": pa.array([len(mk)], type=pa.int64()),
             })
 
-        parts = (
-            f.map_batches(fact_side, batch_format="pyarrow")
-            .union(d.map_batches(dim_side, batch_format="pyarrow"))
-            .groupby("_b")
-            .map_groups(lambda t: anti(t.drop_columns(["_b"])), batch_format="pyarrow")
-            .to_pandas()   # num_buckets rows per edge
-        )
+        both = f.map_batches(fact_side, batch_format="pyarrow").union(
+            d.map_batches(dim_side, batch_format="pyarrow"))
+        parts = bucket_exchange(both, "_b", anti).to_pandas()  # <= num_buckets rows per edge
         out_rows.append((f"{fact}.{fk}->{dim}.{pk}",
                          int(parts["n_rows"].sum()), int(parts["n_keys"].sum())))
     return pd.DataFrame(out_rows, columns=["fk", "n_orphan_rows", "n_orphan_keys"]) \

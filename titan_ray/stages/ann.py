@@ -11,8 +11,10 @@ within matching buckets.
 from __future__ import annotations
 
 import numpy as np
-from ..sources.reader import read_parquet_clean
 import pyarrow as pa
+
+from ..exchange import bucket_exchange
+from ..sources.reader import read_parquet_clean
 
 
 def _matrix(col: pa.ChunkedArray | pa.Array, dim: int | None = None) -> np.ndarray:
@@ -181,18 +183,15 @@ def embedding_mutual_nn(sf_dir: str):
             "lo": pa.array(lo), "hi": pa.array(hi), "sim": pa.array(sim),
         })
 
-    def mutual(g: pa.Table) -> pa.Table:
-        if g.num_rows != 2:   # one direction only -> not reciprocal
-            return pa.table({"vec_a": pa.array([], type=pa.int64()),
-                             "vec_b": pa.array([], type=pa.int64()),
-                             "sim": pa.array([], type=pa.float64())})
-        return pa.table({"vec_a": g["lo"][:1], "vec_b": g["hi"][:1],
-                         "sim": g["sim"][:1]})
+    def mutual(t: pa.Table) -> pa.Table:
+        # a key seen twice is a reciprocal pair (one direction only is not);
+        # its first row, as the block orders them, speaks for it
+        _, first, n = np.unique(t["key"].to_numpy(), return_index=True, return_counts=True)
+        g = t.take(pa.array(first[n == 2]))
+        return pa.table({"vec_a": g["lo"], "vec_b": g["hi"], "sim": g["sim"]})
 
     ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    return (ds.map_batches(nn, batch_format="pyarrow")
-            .groupby("key")
-            .map_groups(mutual, batch_format="pyarrow"))
+    return bucket_exchange(ds.map_batches(nn, batch_format="pyarrow"), "key", mutual)
 
 
 def ann_knn_classify(sf_dir: str, k: int = 10):
@@ -414,33 +413,31 @@ def embedding_neardup_lsh(sf_dir: str, threshold: float = 0.45, n_planes: int = 
             }
         )
 
-    def bucket_pairs(df) -> "object":
-        import pandas as pd
-
-        out = []
-        for (_t, _b), g in df.groupby(["table", "bucket"], sort=False):
-            if len(g) < 2:
+    def bucket_pairs(t: pa.Table) -> pa.Table:
+        # the bucket key already carries the table (table << n_planes | bits)
+        key = t["bucket"].to_numpy()
+        order = np.argsort(key, kind="stable")
+        bounds = np.flatnonzero(np.r_[True, key[order][1:] != key[order][:-1], True])
+        m_all = _matrix(t["embedding"])
+        ids_all = t["vec_id"].to_numpy()
+        out_a, out_b, out_s = [ids_all[:0]], [ids_all[:0]], [np.zeros(0)]
+        for s_, e_ in zip(bounds[:-1], bounds[1:]):
+            if e_ - s_ < 2:
                 continue
-            m = np.asarray(g["embedding"].tolist(), dtype=np.float64)
-            ids = g["vec_id"].to_numpy()
+            rows = order[s_:e_]
+            m, ids = m_all[rows], ids_all[rows]
             n = m / np.maximum(np.sqrt(np.einsum("ij,ij->i", m, m)), 1e-300)[:, None]
             s = round_half_away(n @ n.T, 4)
             ia, ib = np.nonzero(np.triu(s > threshold, k=1))
             a, b = ids[ia], ids[ib]
-            swap = a > b
-            a2 = np.where(swap, b, a)
-            b2 = np.where(swap, a, b)
-            out.append(pd.DataFrame({"vec_a": a2, "vec_b": b2, "sim": s[ia, ib]}))
-        if not out:
-            return pd.DataFrame(
-                {"vec_a": pd.Series([], dtype=np.int64), "vec_b": pd.Series([], dtype=np.int64),
-                 "sim": pd.Series([], dtype=float)}
-            )
-        return pd.concat(out, ignore_index=True).drop_duplicates(["vec_a", "vec_b"])
+            out_a.append(np.minimum(a, b))
+            out_b.append(np.maximum(a, b))
+            out_s.append(s[ia, ib])
+        return pa.table({"vec_a": pa.array(np.concatenate(out_a)), "vec_b": pa.array(np.concatenate(out_b)),
+                         "sim": pa.array(np.concatenate(out_s))})
 
     ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    ds = ds.map_batches(bucketize, batch_format="pyarrow")
-    pairs = ds.groupby("bucket").map_groups(bucket_pairs, batch_format="pandas")
+    pairs = bucket_exchange(ds.map_batches(bucketize, batch_format="pyarrow"), "bucket", bucket_pairs)
     # dedupe pairs found by several tables (same bucket value, different table
     # -> may co-reside in a group; cross-group repeats collapsed here)
     return (

@@ -22,10 +22,10 @@ Semantics (exact, deterministic):
 
 Scale shape: ONE corpus-sized pass builds per-batch (word, count) partials
 (dictionary-encode + bincount — batch-DISTINCT words cross the exchange,
-not tokens), merged in a word-hash bucket groupby. Every round after that
+not tokens), merged in a word-hash bucket exchange. Every round after that
 touches only the vocabulary-sized symbol table: per-batch pair-count
-partials -> pair-hash bucket groupby (per-bucket sums are GLOBAL-final
-because equal pairs always hash to the same bucket) -> per-bucket top-1 ->
+partials -> pair-hash bucket exchange (per-bucket sums are GLOBAL-final
+because equal pairs always hash to the same bucket) -> per-block top-1 ->
 the driver reduces <= num_buckets candidate rows (never the pair table) ->
 the 2-string rule broadcasts in the closure and a vectorized map_batches
 rewrite produces the next vocab. K rounds = K vocab-sized exchanges.
@@ -44,6 +44,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from ..exchange import bucket_exchange
 
 BPE_K = 8              # merge rounds learned
 BPE_BUCKETS = 16       # pair/word hash-bucket fan-out of each exchange
@@ -120,9 +122,7 @@ def build_vocab(sf_dir: str, num_buckets: int = BPE_BUCKETS):
                          "cnt": g["cnt_sum"]})
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: merge(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"), "_b", merge)
         .materialize()  # vocabulary-sized working set for the merge rounds
     )
 
@@ -248,14 +248,9 @@ def _train(sf_dir: str, k: int, num_buckets: int):
     rhs: list[str] = []
     counts: list[int] = []
     for r in range(1, k + 1):
-        tops = (
-            vocab.map_batches(lambda t: _pair_partial(t, num_buckets),
-                              batch_format="pyarrow")
-            .groupby("_b")
-            .map_groups(lambda t: _bucket_top1(t.drop_columns(["_b"])),
-                        batch_format="pyarrow")
-            .take_all()  # <= num_buckets candidate rows, never the pair table
-        )
+        pairs = vocab.map_batches(lambda t: _pair_partial(t, num_buckets), batch_format="pyarrow")
+        # <= one candidate row per shuffled block, never the pair table
+        tops = bucket_exchange(pairs, "_b", _bucket_top1).take_all()
         if not tops:
             raise ValueError(
                 f"doc_bpe_merges: corpus exhausted after {r - 1} merge rounds "

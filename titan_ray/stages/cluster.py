@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..exchange import bucket_exchange
 from ..sources.reader import read_parquet_clean
 from .ann import round_half_away
 
@@ -169,7 +170,7 @@ def semantic_dedup(sf_dir: str, k: int = 8, iters: int = 4, threshold: float = 0
     """SemDeDup-style semantic deduplication: cluster the embedding space,
     then prune near-duplicates WITHIN each cluster — the pairwise comparison
     is confined to cluster members, so the all-pairs cost is O(k·(n/k)²)
-    instead of O(n²) and each cluster is one independent group task.
+    instead of O(n²), with one similarity matrix per cluster.
 
     Drop rule (deterministic, SQL-replayable): a vector is dropped when ANY
     lower-vec_id member of its cluster has cosine similarity (rounded half
@@ -185,8 +186,6 @@ def semantic_dedup(sf_dir: str, k: int = 8, iters: int = 4, threshold: float = 0
 
     Returns kept rows as (vec_id, cluster).
     """
-    import pandas as pd
-
     ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     cent = kmeans_fit(ds, k=k, iters=iters)
     _persist_centroids(sf_dir, cent)
@@ -196,26 +195,25 @@ def semantic_dedup(sf_dir: str, k: int = 8, iters: int = 4, threshold: float = 0
         cid, _ = _assign(q, cent)
         return batch.append_column("cluster", pa.array(cid))
 
-    def prune(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:  # typed empty => no schema-mismatch RefBundle warnings
-            return pd.DataFrame({"vec_id": pd.Series(dtype=np.int64),
-                                 "cluster": pd.Series(dtype=np.int32)})
-        g = g.sort_values("vec_id")
-        m = np.stack(g["embedding"].to_numpy()).astype(np.float64)
-        norm = np.sqrt(np.einsum("ij,ij->i", m, m))
-        n = m / np.maximum(norm, 1e-300)[:, None]
-        s = round_half_away(n @ n.T, 4)
-        # drop j when any i<j has sim > threshold: strict lower triangle
-        tri = np.tril(s > threshold, k=-1)
-        keep = ~tri.any(axis=1)
-        return pd.DataFrame({"vec_id": g["vec_id"].to_numpy()[keep],
-                             "cluster": g["cluster"].to_numpy()[keep]})
+    def prune(t: pa.Table) -> pa.Table:
+        # all pairs within each cluster (never across): one matrix per cluster
+        cl = t["cluster"].to_numpy()
+        order = np.lexsort((t["vec_id"].to_numpy(), cl))
+        bounds = np.flatnonzero(np.r_[True, cl[order][1:] != cl[order][:-1], True])
+        emb = _batch_embeddings(t)
+        keep = np.zeros(t.num_rows, dtype=bool)
+        for s_, e_ in zip(bounds[:-1], bounds[1:]):
+            rows = order[s_:e_]
+            m = emb[rows].astype(np.float64)
+            norm = np.sqrt(np.einsum("ij,ij->i", m, m))
+            n = m / np.maximum(norm, 1e-300)[:, None]
+            s = round_half_away(n @ n.T, 4)
+            # drop j when any i<j has sim > threshold: strict lower triangle
+            keep[rows] = ~np.tril(s > threshold, k=-1).any(axis=1)
+        kept = pa.array(order[keep[order]])
+        return pa.table({"vec_id": t["vec_id"].take(kept), "cluster": t["cluster"].take(kept)})
 
-    return (
-        ds.map_batches(assign, batch_format="pyarrow")
-        .groupby("cluster")
-        .map_groups(prune, batch_format="pandas")
-    )
+    return bucket_exchange(ds.map_batches(assign, batch_format="pyarrow"), "cluster", prune)
 
 
 def semantic_dedup_sql(sf_dir: str, threshold: float = 0.45) -> str:

@@ -10,6 +10,8 @@ the sort key small (num_buckets values) instead of one per distinct text.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -195,9 +197,7 @@ def dedup_broadcast(ds, max_dup_map_rows: int = 2_000_000):
         ),
         batch_format="pyarrow",
     )
-    dups_df = bucket_exchange(
-        narrow_ds, "_b", lambda t: agg_bucket(t.drop_columns(["_b"]))
-    ).to_pandas()
+    dups_df = bucket_exchange(narrow_ds, "_b", agg_bucket).to_pandas()
     if len(dups_df) > max_dup_map_rows:
         logging.getLogger("titan_ray.dedup").warning(
             "dedup_broadcast: duplicate map has %d rows (> %d) — falling back "
@@ -251,20 +251,18 @@ def _pair_bucket(a: np.ndarray, b: np.ndarray, num_buckets: int) -> np.ndarray:
     return (pd.util.hash_array((a + _PAIR_SEP + b).astype(object)) % num_buckets).astype(np.int32)
 
 
-def _verify_pairs_bucket(df: pd.DataFrame, threshold: float) -> pd.DataFrame:
+def _verify_pairs_bucket(t: pa.Table, threshold: float) -> pa.Table:
     """Vectorized exact-Jaccard verify over co-located (pair, side, shingle)
     rows: NO per-pair Python loop (round-4 verdict item 3). Each doc's
     shingles are distinct per (pair, side), so a (pair, shingle) value
     appearing twice == shared by both sides; intersection sizes fall out of
     one lexsort + neighbour compare, unions from row counts."""
-    if not len(df):
-        return pd.DataFrame({"rank": pd.Series([], dtype=object)})
-    a = df["doc_a"].to_numpy(dtype=object)
-    b = df["doc_b"].to_numpy(dtype=object)
+    a = t["doc_a"].to_numpy(zero_copy_only=False).astype(object)
+    b = t["doc_b"].to_numpy(zero_copy_only=False).astype(object)
     key = a + _PAIR_SEP + b
     u, first_idx, inv = np.unique(key, return_index=True, return_inverse=True)
-    side = df["side"].to_numpy()
-    sh = df["sh"].to_numpy()
+    side = t["side"].to_numpy(zero_copy_only=False)
+    sh = t["sh"].to_numpy(zero_copy_only=False)
     n_tot = np.bincount(inv, minlength=len(u))
     n_a = np.bincount(inv[side == 0], minlength=len(u))
     n_b = n_tot - n_a
@@ -276,7 +274,7 @@ def _verify_pairs_bucket(df: pd.DataFrame, threshold: float) -> pd.DataFrame:
     jac = inter / np.maximum(union, 1)
     flag = (n_a > 0) & (n_b > 0) & (union > 0) & (jac > threshold)
     # drop the HIGHER-ranked member == doc_b (pairs are emitted a < b)
-    return pd.DataFrame({"rank": pd.Series(b[first_idx][flag], dtype=object)})
+    return pa.table({"rank": pa.array(b[first_idx][flag], type=pa.string())})
 
 
 def dedup_near(ds, threshold: float = 0.5, num_buckets: int = 64,
@@ -330,9 +328,8 @@ def dedup_near(ds, threshold: float = 0.5, num_buckets: int = 64,
         )
 
     cand_ds = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda d: _bucket_pairs(d, ["band", "band_hash"]), batch_format="pandas")
+        bucket_exchange(ds.map_batches(explode, batch_format="pyarrow"), "_b",
+                        partial(_bucket_pairs, keys=["band", "band_hash"]))
         .groupby(["doc_a", "doc_b"])
         .count()
         .select_columns(["doc_a", "doc_b"])
@@ -460,14 +457,7 @@ def dedup_near(ds, threshold: float = 0.5, num_buckets: int = 64,
 
         shpairs = joined.map_batches(project, batch_format="pyarrow")
 
-    drops = (
-        shpairs.groupby("_b")
-        .map_groups(
-            lambda d: _verify_pairs_bucket(d.drop(columns=["_b"]), threshold),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
+    drops = bucket_exchange(shpairs, "_b", partial(_verify_pairs_bucket, threshold=threshold)).to_pandas()
     if len(drops) > max_broadcast_pairs:
         logging.getLogger("titan_ray.dedup").warning(
             "dedup_near: %d VERIFIED near-duplicates — drop-set broadcast is "

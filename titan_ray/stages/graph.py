@@ -31,6 +31,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..exchange import bucket_exchange, sum_merge
+
 PR_R = 1_000_000_000          # rank scale (nano-units)
 PR_DAMP_NUM = 850             # damping 0.85 as the rational 850/1000
 PR_BASE = (1000 - PR_DAMP_NUM) * PR_R // 1000
@@ -75,14 +77,9 @@ def pagerank_from_pairs(pairs, iters: int = PR_ITERS, num_buckets: int = 64):
         return pa.table({"s": pa.array(u), "deg": pa.array(c.astype(np.int64)),
                          "_b": pa.array((u % num_buckets).astype(np.int32))})
 
-    def deg_merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("s").aggregate([("deg", "sum")])
-        return pa.table({"s": g["s"], "deg": g["deg_sum"]})
-
     deg = (
-        edges0.map_batches(deg_partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: deg_merge(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(edges0.map_batches(deg_partial, batch_format="pyarrow"),
+                        "_b", sum_merge(["s"], ["deg"]))
         .materialize()   # node-sized
     )
     edges = (
@@ -270,31 +267,21 @@ def triangles_from_pairs(edges, num_buckets: int = 64):
             }
         )
 
-    wedge_ds = (
-        edges.map_batches(lo_bucket, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: wedges(t.drop_columns(["_b"])), batch_format="pyarrow")
-    )
+    wedge_ds = bucket_exchange(edges.map_batches(lo_bucket, batch_format="pyarrow"), "_b", wedges)
     edge_ds = edges.map_batches(edge_rows, batch_format="pyarrow")
 
     def close(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        e = df[df["kind"] == 0]
-        w = df[df["kind"] == 1]
-        if not len(e) or not len(w):
-            return pa.table({"doc_id": pa.array([], type=pa.int64()),
-                             "n": pa.array([], type=pa.int64())})
-        m = w.merge(e[["u", "v"]], on=["u", "v"], how="inner")
-        docs = np.concatenate(
-            [m["ctr"].to_numpy(), m["u"].to_numpy(), m["v"].to_numpy()]
-        ).astype(np.int64)
+        import pyarrow.compute as pc
+
+        e = t.filter(pc.equal(t["kind"], 0)).select(["u", "v"])
+        w = t.filter(pc.equal(t["kind"], 1)).select(["u", "v", "ctr"])
+        m = w.join(e, keys=["u", "v"], join_type="inner")
+        docs = np.concatenate([m[c].to_numpy() for c in ("ctr", "u", "v")]).astype(np.int64)
         du, dc = np.unique(docs, return_counts=True)
         return pa.table({"doc_id": pa.array(du), "n": pa.array(dc.astype(np.int64))})
 
     out = (
-        wedge_ds.union(edge_ds)
-        .groupby("_pb")
-        .map_groups(lambda t: close(t.drop_columns(["_pb"])), batch_format="pyarrow")
+        bucket_exchange(wedge_ds.union(edge_ds), "_pb", close)
         .groupby("doc_id")
         .sum("n")
     )
@@ -365,14 +352,9 @@ def graph_bfs_depth(sf_dir: str, hub_deg: int = BFS_HUB_DEG,
         return pa.table({"s": pa.array(u), "deg": pa.array(c.astype(np.int64)),
                          "_b": pa.array((u % num_buckets).astype(np.int32))})
 
-    def deg_merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("s").aggregate([("deg", "sum")])
-        return pa.table({"s": g["s"], "deg": g["deg_sum"]})
-
     dists = (
-        edges.map_batches(deg_partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: deg_merge(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(edges.map_batches(deg_partial, batch_format="pyarrow"),
+                        "_b", sum_merge(["s"], ["deg"]))
         .filter(expr=f"deg >= {hub_deg}")
         .map_batches(
             lambda t: pa.table(
@@ -488,16 +470,9 @@ def graph_kcore(sf_dir: str, k: int = KCORE_K, rounds: int = KCORE_ROUNDS,
         return pa.table({"s": pa.array(u), "deg": pa.array(c.astype(np.int64)),
                          "_b": pa.array((u % num_buckets).astype(np.int32))})
 
-    def deg_merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("s").aggregate([("deg", "sum")])
-        return pa.table({"s": g["s"], "deg": g["deg_sum"]})
-
     def degrees(e):
-        return (
-            e.map_batches(deg_partial, batch_format="pyarrow")
-            .groupby("_b")
-            .map_groups(lambda t: deg_merge(t.drop_columns(["_b"])), batch_format="pyarrow")
-        )
+        return bucket_exchange(e.map_batches(deg_partial, batch_format="pyarrow"),
+                               "_b", sum_merge(["s"], ["deg"]))
 
     def survivors(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -687,9 +662,7 @@ def graph_mst(sf_dir: str, rounds: int = MST_ROUNDS, num_buckets: int = 64):
                              "cb": t["cb"].take(pa.array(sel))})
 
         elected = (
-            cross.map_batches(emit, batch_format="pyarrow")
-            .groupby("_b")
-            .map_groups(lambda t: elect(t.drop_columns(["_b"])), batch_format="pyarrow")
+            bucket_exchange(cross.map_batches(emit, batch_format="pyarrow"), "_b", elect)
             .to_pandas()                      # <= #active components rows
             .drop_duplicates(subset=["a", "b"])
         )

@@ -5,9 +5,9 @@ The reference has no relational joins (SURVEY.md §2.4) — these are the
 compositions of map_batches + one co-partitioning shuffle:
 
 1. Both sides are bucketed by hash(by-key) — ONE narrow-keyed shuffle each,
-   tagged with a side column and unioned so a single groupby co-locates
-   matching keys.
-2. Inside each bucket group the kernel sorts both sides and resolves
+   tagged with a side column and unioned so one bucket exchange
+   (exchange.bucket_exchange) co-locates matching keys.
+2. Inside each shuffled block the kernel sorts both sides and resolves
    matches vectorized (np.searchsorted per as-of; interval difference for
    range) — no Python loop over rows.
 
@@ -22,14 +22,26 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..exchange import bucket_exchange
 
-def _typed_empty(df: pd.DataFrame, right_cols: tuple[str, ...]) -> pd.DataFrame:
-    """Schema-stable empty result (avoids Ray's empty-RefBundle schema
-    mismatch warnings): left columns with their dtypes + r_<col> columns."""
-    cols = {c: pd.Series(dtype=df[c].dtype) for c in df.columns if c not in ("_side", "_b")}
+
+def _sides(t: pa.Table, by: str):
+    """(left rows, right rows, left group ids, right group ids) of one
+    shuffled block; group ids number the distinct ``by`` values."""
+    lmask = t["_side"].to_numpy(zero_copy_only=False) == 0
+    _, codes = np.unique(t[by].to_numpy(zero_copy_only=False), return_inverse=True)
+    codes = codes.astype(np.int64)
+    l = t.drop_columns(["_side", "_b"]).filter(pa.array(lmask))
+    return l, t.filter(pa.array(~lmask)), codes[lmask], codes[~lmask]
+
+
+def _emit(l: pa.Table, r: pa.Table, li, ri, right_cols: tuple[str, ...]) -> pa.Table:
+    """Left rows ``li`` with right rows ``ri``'s ``right_cols`` as r_<col>
+    (typed even when empty: no schema-mismatch RefBundle warnings)."""
+    out = l.take(pa.array(li, type=pa.int64()))
     for c in right_cols:
-        cols[f"r_{c}"] = pd.Series(dtype=df[c].dtype)
-    return pd.DataFrame(cols)
+        out = out.append_column(f"r_{c}", r[c].take(pa.array(ri, type=pa.int64())))
+    return out
 
 
 def _bucketed_union(left, right, by: str, num_buckets: int):
@@ -73,15 +85,8 @@ def asof_join(left, right, by: str, on: str, value_cols: tuple[str, ...],
     # value union, and K > max rank — so keys of different groups never
     # interleave and a match landing outside the left row's group is
     # detected by a single gid comparison.
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        side = df["_side"].to_numpy()
-        lmask = side == 0
-        if not lmask.any() or lmask.all():
-            return _typed_empty(df, value_cols)
-        codes, _ = pd.factorize(df[by].to_numpy(), sort=False)
-        gl, gr = codes[lmask].astype(np.int64), codes[~lmask].astype(np.int64)
-        l = df[lmask]
-        r = df[~lmask]
+    def per_bucket(t: pa.Table) -> pa.Table:
+        l, r, gl, gr = _sides(t, by)
         lon = l[on].to_numpy()
         ron_raw = r[on].to_numpy()
         if tiebreak is not None:
@@ -104,19 +109,12 @@ def asof_join(left, right, by: str, on: str, value_cols: tuple[str, ...],
             # first right with on >= left.on (ties: min tiebreak)
             matched = np.searchsorted(rkey, lkey, side="left")
             hit = matched < len(rkey)
-        safe = np.clip(matched, 0, max(len(rkey) - 1, 0))
-        hit &= gr_s[safe] == gl  # match must come from the left row's group
-        if not hit.any():
-            return _typed_empty(df, value_cols)
-        part = pd.DataFrame(
-            {c: l[c].to_numpy()[hit] for c in l.columns if c not in ("_side", "_b")}
-        )
-        for c in value_cols:
-            part[f"r_{c}"] = r[c].to_numpy()[r_order][matched[hit]]
-        return part
+        if not len(rkey):
+            return _emit(l, r, [], [], value_cols)
+        hit &= gr_s[np.clip(matched, 0, len(rkey) - 1)] == gl  # match from the left row's group
+        return _emit(l, r, np.flatnonzero(hit), r_order[matched[hit]], value_cols)
 
-    ds = _bucketed_union(left, right, by, num_buckets)
-    return ds.groupby("_b").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(_bucketed_union(left, right, by, num_buckets), "_b", per_bucket)
 
 
 def range_join(left, right, by: str, on: str, lo, hi, right_cols: tuple[str, ...],
@@ -133,15 +131,8 @@ def range_join(left, right, by: str, on: str, lo, hi, right_cols: tuple[str, ...
     # asof_join): gid * K + rank(on) keys make the interval lookups a pair
     # of searchsorteds over the WHOLE bucket — group separation is free
     # because distinct gids occupy disjoint key ranges.
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        side = df["_side"].to_numpy()
-        lmask = side == 0
-        if not lmask.any() or lmask.all():
-            return _typed_empty(df, right_cols)
-        codes, _ = pd.factorize(df[by].to_numpy(), sort=False)
-        gl, gr = codes[lmask].astype(np.int64), codes[~lmask].astype(np.int64)
-        l = df[lmask]
-        r = df[~lmask]
+    def per_bucket(t: pa.Table) -> pa.Table:
+        l, r, gl, gr = _sides(t, by)
         lon = l[on].to_numpy()
         ron_raw = r[on].to_numpy()
         r_order = np.lexsort((ron_raw, gr))
@@ -158,21 +149,12 @@ def range_join(left, right, by: str, on: str, lo, hi, right_cols: tuple[str, ...
                 f"range_join fan-out {int(counts.max())} exceeds "
                 f"max_matches_per_row={max_matches_per_row}"
             )
-        if int(counts.sum()) == 0:
-            return _typed_empty(df, right_cols)
         from ..functions.strings import multi_arange
 
-        li = np.repeat(np.arange(len(l)), counts)
-        ri = multi_arange(starts, counts)
-        part = pd.DataFrame(
-            {c: l[c].to_numpy()[li] for c in l.columns if c not in ("_side", "_b")}
-        )
-        for c in right_cols:
-            part[f"r_{c}"] = r[c].to_numpy()[r_order][ri]
-        return part
+        li = np.repeat(np.arange(l.num_rows), counts)
+        return _emit(l, r, li, r_order[multi_arange(starts, counts)], right_cols)
 
-    ds = _bucketed_union(left, right, by, num_buckets)
-    return ds.groupby("_b").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(_bucketed_union(left, right, by, num_buckets), "_b", per_bucket)
 
 
 def hash_join(left, right, on: str, right_cols: tuple[str, ...], num_buckets: int = 64,
@@ -183,8 +165,8 @@ def hash_join(left, right, on: str, right_cols: tuple[str, ...], num_buckets: in
     BOTH sides survive, the key coalesced across sides, null-padded
     opposite columns: the reconciliation/audit shape): both sides are tagged,
     null-padded to one unified schema, bucketed by hash(on) and unioned, so a
-    single narrow co-partitioning shuffle feeds a per-bucket vectorized
-    pandas hash merge. Right columns come back as r_<col>.
+    single narrow co-partitioning shuffle feeds a per-block Arrow hash
+    join. Right columns come back as r_<col>.
 
     Scale notes: each side moves across the wire exactly once (the one
     groupby shuffle); the per-bucket merge is C-vectorized. Skewed join keys
@@ -258,4 +240,4 @@ def hash_join(left, right, on: str, right_cols: tuple[str, ...], num_buckets: in
     ds = left.map_batches(tag(0), batch_format="pyarrow").union(
         right.map_batches(tag(1), batch_format="pyarrow")
     )
-    return ds.groupby("_b").map_groups(per_bucket, batch_format="pyarrow")
+    return bucket_exchange(ds, "_b", per_bucket)

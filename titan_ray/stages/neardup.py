@@ -20,10 +20,13 @@ Scale shapes:
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..exchange import bucket_exchange, sum_merge
 from ..functions.strings import (
     multi_arange,
     rolling_ngram_hash,
@@ -133,33 +136,40 @@ def _read_docs(sf_dir: str):
 MAX_BAND_BUCKET = 256
 
 
-def _bucket_pairs(df: pd.DataFrame, keys: list[str], cap: int = MAX_BAND_BUCKET) -> pd.DataFrame:
-    """Vectorized unique-pair expansion within each group of `keys`."""
+def _bucket_pairs(t: pa.Table, keys: list[str], cap: int = MAX_BAND_BUCKET) -> pa.Table:
+    """Unique (doc_a < doc_b) pairs within each group of `keys`, vectorized
+    per distinct group size."""
     import logging
 
-    out_a, out_b = [], []
-    capped = 0
-    for _, g in df.groupby(keys, sort=False):
-        ids = np.unique(g["doc_id"].to_numpy())
-        if len(ids) > cap:
-            capped += 1
-            out_a.append(np.full(len(ids) - 1, ids[0], dtype=ids.dtype))
-            out_b.append(ids[1:])
-            continue
-        if len(ids) > 1:
-            ia, ib = np.triu_indices(len(ids), k=1)
-            out_a.append(ids[ia])
-            out_b.append(ids[ib])
-    if capped:
+    docs, code = np.unique(t["doc_id"].to_numpy(zero_copy_only=False), return_inverse=True)
+    kv = [t[k].to_numpy(zero_copy_only=False) for k in keys]
+    order = np.lexsort((code, *kv[::-1]))
+    ks, c = [k[order] for k in kv], code[order]
+    new_g = np.r_[True, np.any([k[1:] != k[:-1] for k in ks], axis=0)]
+    keep = new_g | np.r_[True, c[1:] != c[:-1]]  # distinct docs per group
+    c, new_g = c[keep], new_g[keep]
+    starts = np.flatnonzero(new_g)
+    sizes = np.diff(np.r_[starts, len(c)])
+    out_a, out_b = [c[:0]], [c[:0]]
+    capped = sizes > cap
+    for st, sz in zip(starts[capped], sizes[capped]):  # star against the lowest member
+        out_a.append(np.full(sz - 1, c[st]))
+        out_b.append(c[st + 1:st + sz])
+    for sz in np.unique(sizes[(sizes > 1) & ~capped]):
+        st = starts[sizes == sz][:, None]
+        i0, i1 = np.triu_indices(int(sz), k=1)
+        out_a.append(c[(st + i0).ravel()])
+        out_b.append(c[(st + i1).ravel()])
+    if capped.any():
         logging.getLogger("titan_ray.neardup").warning(
             "LSH: %d band buckets larger than %d docs reduced to star pairs "
             "against the lowest-ranked member (run exact dedup first)",
-            capped, cap,
+            int(capped.sum()), cap,
         )
-    if not out_a:
-        return pd.DataFrame({"doc_a": pd.Series([], dtype=np.int64), "doc_b": pd.Series([], dtype=np.int64)})
-    res = pd.DataFrame({"doc_a": np.concatenate(out_a), "doc_b": np.concatenate(out_b)})
-    return res.drop_duplicates()
+    pair = np.unique(np.concatenate(out_a).astype(np.int64) * len(docs) + np.concatenate(out_b))
+    if not len(pair):
+        return pa.table({"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())})
+    return pa.table({"doc_a": pa.array(docs[pair // len(docs)]), "doc_b": pa.array(docs[pair % len(docs)])})
 
 
 def minhash_lsh_candidates(sf_dir: str, bands: int = BANDS):
@@ -186,9 +196,7 @@ def minhash_lsh_candidates(sf_dir: str, bands: int = BANDS):
         )
 
     ds = _read_docs(sf_dir).map_batches(explode, batch_format="pyarrow")
-    cand = ds.groupby("_b").map_groups(
-        lambda df: _bucket_pairs(df, ["band", "band_hash"]), batch_format="pandas"
-    )
+    cand = bucket_exchange(ds, "_b", partial(_bucket_pairs, keys=["band", "band_hash"]))
     # global de-dup of pairs found in multiple bands (small result)
     return cand.groupby(["doc_a", "doc_b"]).count().select_columns(["doc_a", "doc_b"])
 
@@ -241,17 +249,16 @@ def ngram_jaccard_allpairs(sf_dir: str, threshold: float = 0.2):
             }
         )
 
-    def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
+    def bucket_pairs(t: pa.Table) -> pa.Table:
         """Per-shingle pair expansion with partial intersection counts;
         set sizes carried on both sides (no size join later)."""
         import logging
 
-        order = np.lexsort((df["doc_id"].to_numpy(), df["sh"].to_numpy()))
-        sh = df["sh"].to_numpy()[order]
-        doc = df["doc_id"].to_numpy()[order]
-        size = df["set_size"].to_numpy()[order]
+        doc, sh, size = (t[c].to_numpy(zero_copy_only=False) for c in ("doc_id", "sh", "set_size"))
+        order = np.lexsort((doc, sh))
+        sh, doc, size = sh[order], doc[order], size[order]
         bounds = np.flatnonzero(np.concatenate([[True], sh[1:] != sh[:-1], [True]]))
-        out_a, out_b, sa, sb = [], [], [], []
+        out_a, out_b, sa, sb = [doc[:0]], [doc[:0]], [size[:0]], [size[:0]]
         dropped = 0
         for s_, e_ in zip(bounds[:-1], bounds[1:]):
             k = e_ - s_
@@ -269,46 +276,33 @@ def ngram_jaccard_allpairs(sf_dir: str, threshold: float = 0.2):
             logging.getLogger("titan_ray.neardup").warning(
                 "jaccard: skipped %d shingles shared by > %d docs", dropped, MAX_SHINGLE_DOCS
             )
-        if not out_a:
-            return pd.DataFrame(
-                {c: pd.Series([], dtype=np.int64) for c in ("doc_a", "doc_b", "inter", "sa", "sb")}
-            )
-        res = pd.DataFrame(
-            {
-                "doc_a": np.concatenate(out_a), "doc_b": np.concatenate(out_b),
-                "sa": np.concatenate(sa), "sb": np.concatenate(sb),
-            }
-        )
-        g = res.groupby(["doc_a", "doc_b"], sort=False).agg(
-            inter=("sa", "size"), sa=("sa", "first"), sb=("sb", "first")
-        ).reset_index()
-        return g[["doc_a", "doc_b", "inter", "sa", "sb"]]
+        res = pa.table({"doc_a": np.concatenate(out_a), "doc_b": np.concatenate(out_b),
+                        "sa": np.concatenate(sa), "sb": np.concatenate(sb)})
+        # a doc's set size is one value, so min() is any of its rows'
+        g = res.group_by(["doc_a", "doc_b"]).aggregate([("sa", "count"), ("sa", "min"), ("sb", "min")])
+        return pa.table({"doc_a": g["doc_a"], "doc_b": g["doc_b"], "inter": g["sa_count"],
+                         "sa": g["sa_min"], "sb": g["sb_min"]})
 
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["doc_a", "doc_b"], sort=False).agg(
-            inter=("inter", "sum"), sa=("sa", "first"), sb=("sb", "first")
-        ).reset_index()
+    def finish(t: pa.Table) -> pa.Table:
         from .ann import round_half_away
 
-        jac = g["inter"] / (g["sa"] + g["sb"] - g["inter"])
-        g = g[jac > threshold].copy()
-        g["jaccard"] = round_half_away(jac[jac > threshold].to_numpy(dtype=float), 4)
-        return g[["doc_a", "doc_b", "jaccard"]]
+        g = t.group_by(["doc_a", "doc_b"]).aggregate([("inter", "sum"), ("sa", "min"), ("sb", "min")])
+        inter, sa, sb = (g[c].to_numpy() for c in ("inter_sum", "sa_min", "sb_min"))
+        jac = inter / (sa + sb - inter)
+        hit = jac > threshold
+        return pa.table({"doc_a": g["doc_a"].filter(pa.array(hit)), "doc_b": g["doc_b"].filter(pa.array(hit)),
+                         "jaccard": round_half_away(jac[hit], 4)})
 
     ds = _read_docs(sf_dir).map_batches(explode, batch_format="pyarrow")
-    partial = ds.groupby("_b").map_groups(
-        lambda d: bucket_pairs(d.drop(columns=["_b"])), batch_format="pandas"
-    )
-    # second (tiny) shuffle: merge partial counts across shingle buckets
-    return partial.map_batches(
+    partials = bucket_exchange(ds, "_b", bucket_pairs)
+    # second (tiny) exchange: merge partial counts across shingle buckets
+    return bucket_exchange(partials.map_batches(
         lambda b: b.append_column(
             "_p", pa.array(((b["doc_a"].to_numpy(zero_copy_only=False)
                              * 31 + b["doc_b"].to_numpy(zero_copy_only=False)) % 64).astype(np.int32))
         ),
         batch_format="pyarrow",
-    ).groupby("_p").map_groups(
-        lambda d: finish(d.drop(columns=["_p"])), batch_format="pandas"
-    )
+    ), "_p", finish)
 
 
 WINNOW_K = SHINGLE  # k-gram width feeding the fingerprint
@@ -578,8 +572,6 @@ def verify_candidate_pairs(sf_dir: str, cand: pd.DataFrame, threshold: float = 0
             {"doc_a": pa.array([], type=pa.int64()), "doc_b": pa.array([], type=pa.int64()),
              score: pa.array([], type=pa.float64())}
         )
-        if t.num_rows == 0:
-            return empty
         pid = t["pid"].to_numpy(zero_copy_only=False)
         doc = t["doc_id"].to_numpy(zero_copy_only=False)
         sh = t["sh"].to_numpy(zero_copy_only=False)
@@ -612,12 +604,7 @@ def verify_candidate_pairs(sf_dir: str, cand: pd.DataFrame, threshold: float = 0
             }
         )
 
-    shards = (
-        _read_docs(sf_dir)
-        .map_batches(emit, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: per_pair(t.drop_columns(["_b"])), batch_format="pyarrow")
-    )
+    shards = bucket_exchange(_read_docs(sf_dir).map_batches(emit, batch_format="pyarrow"), "_b", per_pair)
     return shards.to_pandas().sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
@@ -1001,9 +988,7 @@ def doc_dup_spans(sf_dir: str, k: int = DUP_SPAN_K,
         keep = dup_hv[np.searchsorted(dup_hv, hv).clip(max=len(dup_hv) - 1)] == hv if len(dup_hv) else np.zeros(len(hv), dtype=bool)
         return pa.table({"doc_id": pa.array(did[keep]), "p": pa.array(t["p"].to_numpy(zero_copy_only=False)[keep])})
 
-    marked = pos.groupby("_b").map_groups(
-        lambda t: mark(t.drop_columns(["_b"])), batch_format="pyarrow"
-    )
+    marked = bucket_exchange(pos, "_b", mark)
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         did = batch["doc_id"].to_numpy(zero_copy_only=False)
@@ -1037,9 +1022,7 @@ def doc_dup_spans(sf_dir: str, k: int = DUP_SPAN_K,
         )
 
     return (
-        marked.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: runs(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(marked.map_batches(add_bucket, batch_format="pyarrow"), "_b", runs)
     )
 
 
@@ -1161,9 +1144,6 @@ def neardup_edit_distance(sf_dir: str, num_buckets: int = 64):
         )
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({c: pa.array([], type=pa.int64())
-                             for c in ("doc_a", "doc_b", "edit_dist", "sim_milli")})
         pid = t["pid"].to_numpy(zero_copy_only=False)
         side = t["side"].to_numpy(zero_copy_only=False)
         doc = t["doc_id"].to_numpy(zero_copy_only=False)
@@ -1196,9 +1176,7 @@ def neardup_edit_distance(sf_dir: str, num_buckets: int = 64):
         )
 
     return (
-        ds.map_batches(emit, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: per_bucket(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(ds.map_batches(emit, batch_format="pyarrow"), "_b", per_bucket)
     )
 
 
@@ -1381,19 +1359,11 @@ def simhash_neardup_pairs(sf_dir: str, max_hamming: int = SIMHASH_MAX_HAMMING,
         return pa.table({"doc_a": pa.array(a[first]), "doc_b": pa.array(b[first]),
                          "hamming": pa.array(h[first])})
 
-    return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: bucket_pairs(t.drop_columns(["_b"])),
-                    batch_format="pyarrow")
-        # a pair found in several bands carries the same hamming everywhere;
-        # one narrow pair-bucket exchange co-locates a pair's band copies
-        # and a vectorized unique keeps the first (no per-pair Python call)
-        .map_batches(pair_bucket, batch_format="pyarrow")
-        .groupby("_pb")
-        .map_groups(lambda t: dedup_bands(t.drop_columns(["_pb"])),
-                    batch_format="pyarrow")
-    )
+    band_pairs = bucket_exchange(ds.map_batches(explode, batch_format="pyarrow"), "_b", bucket_pairs)
+    # a pair found in several bands carries the same hamming everywhere;
+    # one narrow pair-bucket exchange co-locates a pair's band copies
+    # and a vectorized unique keeps the first (no per-pair Python call)
+    return bucket_exchange(band_pairs.map_batches(pair_bucket, batch_format="pyarrow"), "_pb", dedup_bands)
 
 
 def simhash_pairs_sql(max_hamming: int = SIMHASH_MAX_HAMMING) -> str:
@@ -1494,14 +1464,8 @@ def doc_setjoin_pairs(sf_dir: str, tau_num: int = SETJOIN_TAU_NUM,
             }
         )
 
-    def df_merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("h").aggregate([("df", "sum")])
-        return pa.table({"h": g["h"], "df": g["df_sum"]})
-
     df_tab = (
-        ds.map_batches(df_partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: df_merge(t.drop_columns(["_b"])), batch_format="pyarrow")
+        bucket_exchange(ds.map_batches(df_partial, batch_format="pyarrow"), "_b", sum_merge(["h"], ["df"]))
         .to_pandas()
     )
     if len(df_tab) > MAX_SETJOIN_VOCAB:
@@ -1549,8 +1513,6 @@ def doc_setjoin_pairs(sf_dir: str, tau_num: int = SETJOIN_TAU_NUM,
             {"doc_a": pa.array([], type=pa.int64()), "doc_b": pa.array([], type=pa.int64()),
              "_pb": pa.array([], type=pa.int32())}
         )
-        if t.num_rows == 0:
-            return empty
         hs = t["h"].to_numpy(zero_copy_only=False)
         doc = t["doc_id"].to_numpy(zero_copy_only=False)
         n = t["n"].to_numpy(zero_copy_only=False)
@@ -1591,14 +1553,10 @@ def doc_setjoin_pairs(sf_dir: str, tau_num: int = SETJOIN_TAU_NUM,
             first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
         return pa.table({"doc_a": pa.array(a[first]), "doc_b": pa.array(b[first])})
 
-    cand = (
-        ds.map_batches(prefix_emit, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: token_pairs(t.drop_columns(["_b"])), batch_format="pyarrow")
-        .groupby("_pb")
-        .map_groups(lambda t: pair_dedup(t.drop_columns(["_pb"])), batch_format="pyarrow")
-        .to_pandas()
-    )
+    cand = bucket_exchange(
+        bucket_exchange(ds.map_batches(prefix_emit, batch_format="pyarrow"),
+                        "_b", token_pairs), "_pb", pair_dedup
+    ).to_pandas()
 
     # -- pass 4: exact verify, co-located by pair bucket -------------------
     if len(cand) == 0:
@@ -1651,8 +1609,6 @@ def doc_setjoin_pairs(sf_dir: str, tau_num: int = SETJOIN_TAU_NUM,
             {"doc_a": pa.array([], type=pa.int64()), "doc_b": pa.array([], type=pa.int64()),
              "n_inter": pa.array([], type=pa.int64()), "n_union": pa.array([], type=pa.int64())}
         )
-        if t.num_rows == 0:
-            return empty
         pid = t["pid"].to_numpy(zero_copy_only=False)
         doc = t["doc_id"].to_numpy(zero_copy_only=False)
         sh = t["sh"].to_numpy(zero_copy_only=False)
@@ -1684,12 +1640,7 @@ def doc_setjoin_pairs(sf_dir: str, tau_num: int = SETJOIN_TAU_NUM,
             }
         )
 
-    out = (
-        _read_docs(sf_dir)
-        .map_batches(emit, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(lambda t: per_pair(t.drop_columns(["_b"])), batch_format="pyarrow")
-    )
+    out = bucket_exchange(_read_docs(sf_dir).map_batches(emit, batch_format="pyarrow"), "_b", per_pair)
     return out.to_pandas().sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
@@ -1731,26 +1682,40 @@ def setjoin_sql(tau_num: int = SETJOIN_TAU_NUM, tau_den: int = SETJOIN_TAU_DEN) 
 MIN_LCP = 20
 
 
+# _adjacent_lcp compares LCP_WINDOW bytes of LCP_PAIRS pairs per step: one
+# step's index arrays take 512 KB, however long the longest text is
+LCP_WINDOW = 256
+LCP_PAIRS = 256
+
+
 def _adjacent_lcp(texts: pa.Array) -> np.ndarray:
-    """LCP of texts[i] vs texts[i+1] for every i, fully vectorized: rows
-    padded with NUL (the corpus is printable ASCII, so a real byte never
-    equals the pad and the first mismatch lands at min-length); identical
-    strings have no mismatch and fall back to their length."""
+    """LCP of texts[i] vs texts[i+1] for every i, in bounded memory: the
+    bytes are compared one fixed-width column window at a time, and only
+    the pairs still equal through a window move on to the next. A pair with
+    no mismatch within its shorter length has that length as its LCP."""
     data, off, _ = string_view(texts)
     n = len(off) - 1
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    lens = (off[1:] - off[:-1]).astype(np.int64)
-    width = int(lens.max(initial=0))
-    mat = np.zeros((n, width), dtype=np.uint8)
-    rows = np.repeat(np.arange(n), lens)
-    cols = multi_arange(np.zeros(n, dtype=np.int64), lens)
-    mat[rows, cols] = data[multi_arange(off[:-1].astype(np.int64), lens)]
-    eq = mat[:-1] == mat[1:]
-    mis = ~eq
-    has = mis.any(axis=1)
-    lcp = np.where(has, mis.argmax(axis=1), np.minimum(lens[:-1], lens[1:]))
-    return lcp.astype(np.int64)
+    off = off.astype(np.int64)
+    lens = off[1:] - off[:-1]
+    lcp = np.minimum(lens[:-1], lens[1:])  # the LCP unless a byte differs first
+    last = len(data) - 1
+    active = np.flatnonzero(lcp > 0)
+    for pos in range(0, int(lcp.max(initial=0)), LCP_WINDOW):
+        if not len(active):
+            break
+        cols = pos + np.arange(LCP_WINDOW)
+        equal = []
+        for a in np.array_split(active, -(-len(active) // LCP_PAIRS)):
+            ia = np.minimum(off[a, None] + cols, last)
+            ib = np.minimum(off[a + 1, None] + cols, last)
+            diff = (data[ia] != data[ib]) & (cols < lcp[a, None])
+            hit = diff.any(axis=1)
+            lcp[a[hit]] = pos + diff[hit].argmax(axis=1)
+            equal.append(a[~hit & (lcp[a] > pos + LCP_WINDOW)])
+        active = np.concatenate(equal)
+    return lcp
 
 
 def neardup_sorted_neighbors(sf_dir: str, min_lcp: int = MIN_LCP):

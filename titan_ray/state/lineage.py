@@ -107,13 +107,19 @@ def _commit(out_dir: str, part: int, files: list[str]) -> int:
 
     part_dir = _part_dir(out_dir, part)
     tmp_dir = part_dir + ".tmp"
-    # flag histogram from the written partition (small scan, local files)
-    flags = pads.dataset(tmp_dir).to_table(columns=["dqcflag"])["dqcflag"]
-    histo = {
-        str(k.as_py()): v.as_py()
-        for k, v in zip(*pac.value_counts(flags).flatten())
-    }
-    rows = len(flags)
+    # the sink removes the directory of a partition that yields no rows;
+    # such a partition commits as an empty part-XXXXX with rows 0
+    os.makedirs(tmp_dir, exist_ok=True)
+    written = pads.dataset(tmp_dir)
+    histo, rows = {}, 0
+    if written.files:
+        # flag histogram from the written partition (small scan, local files)
+        flags = written.to_table(columns=["dqcflag"])["dqcflag"]
+        histo = {
+            str(k.as_py()): v.as_py()
+            for k, v in zip(*pac.value_counts(flags).flatten())
+        }
+        rows = len(flags)
 
     _fsync_tree(tmp_dir)
     os.replace(tmp_dir, part_dir)  # atomic on one filesystem
