@@ -233,62 +233,38 @@ def run_stage(stage: str) -> dict:
     """Time ONE stage pipeline at NUM_CPUS (internal helper for --stages;
     fresh process per call so levels don't share a Ray session).
 
+    Every stage is a slice of the flagship's own plan
+    (registry.flagship_spec), built by registry.build_pipeline_from_spec.
     Semantics per stage (NOT uniformly cumulative — the table compares each
     row's lo-vs-hi SCALING, not absolute seconds across rows):
-    read/dedup/scrub/write are ISOLATED pipelines over the raw corpus;
-    scorer/rowwise/conv are cumulative prefixes WITHOUT the dedup stage
-    (dedup's scaling is measured by its own row)."""
+    read/dedup/scorer/scrub/write are ISOLATED pipelines over the raw
+    corpus; rowwise/conv are cumulative prefixes of the plan WITHOUT the
+    dedup step (dedup's scaling is measured by its own row)."""
     import ray
 
     _quiet_init(NUM_CPUS)
     import ray.data as rd
-    from functools import partial
+    from dataclasses import replace
 
     from titan_ray.config import QCConfig
     from titan_ray.corpus import corpus_path_for_sf
-    from titan_ray.exchange import bucket_exchange
-    from titan_ray.pipelines.qc import score_chain
-    from titan_ray.stages.conv import run_conv_checks_arrow
-    from titan_ray.stages.dedup import dedup_exact
-    from titan_ray.stages.rowwise import metadata_check, seed_lists
-    from titan_ray.stages.scorer import score_batch, shared_model_refs
-    from titan_ray.stages.scrub_stage import scrub_batch
+    from titan_ray.pipelines.registry import build_pipeline_from_spec, flagship_spec
 
     sf = _sf()
     corpus = corpus_path_for_sf(sf)
     rd.read_parquet(corpus).count()  # warm page cache
     cfg = QCConfig(dedup=True, batch_size=int(os.environ.get("GRAFT_BATCH", QCConfig.batch_size)))
-
-    def build(ds):
-        if stage == "read":
-            return ds
-        if stage == "dedup":
-            return dedup_exact(ds)
-        if stage == "scrub":
-            return ds.map_batches(scrub_batch, batch_format="pyarrow", batch_size=cfg.batch_size)
-        if stage == "write":
-            return ds
-        if stage == "scorer":
-            # the scorer kernel alone (attribution row; production runs it
-            # inside the fused score_chain map below)
-            return ds.map_batches(score_batch, fn_kwargs={"model_refs": shared_model_refs()},
-                                  batch_format="pyarrow", batch_size=cfg.batch_size)
-        # production operator shape: seed/meta and the score chain (scorer +
-        # affine + plaus + clim + salt) fuse into one task map
-        for fn in (seed_lists, metadata_check):
-            ds = ds.map_batches(partial(fn, cfg=cfg), batch_format="pyarrow", batch_size=cfg.batch_size)
-        ds = ds.map_batches(score_chain,
-                            fn_kwargs={"cfg": cfg, "num_buckets": max(64, NUM_CPUS * 4),
-                                       "model_refs": shared_model_refs()},
-                            batch_format="pyarrow", batch_size=cfg.batch_size)
-        if stage == "rowwise":
-            return ds
-        return bucket_exchange(ds, "bucket", partial(run_conv_checks_arrow, cfg=cfg))  # stage == "conv"
+    plan = flagship_spec(replace(cfg, dedup=False))
+    conv = plan.index("conv_checks")
+    spec = {
+        "read": (), "dedup": ("dedup",), "scorer": ("scorer",), "rowwise": plan[:conv],
+        "conv": plan[:conv + 1], "scrub": ("scrub",), "write": (),
+    }[stage]
 
     runs = []
     for _ in range(2):  # 2nd run = steady state
         t0 = time.perf_counter()
-        ds = build(rd.read_parquet(corpus))
+        ds = build_pipeline_from_spec(rd.read_parquet(corpus), cfg, spec, num_buckets=max(64, NUM_CPUS * 4))
         if stage == "write":
             out = "/tmp/titan_ray_stage_out"
             shutil.rmtree(out, ignore_errors=True)

@@ -233,7 +233,7 @@ def test_lapse_adjust_formula():
 
 # ---------------------------------------------------------------------------
 # round-3 additions: fgt member ensemble, SCT eps2/corep, cascade SQL oracle,
-# dedup_broadcast guard, langid SQL oracle
+# langid SQL oracle
 # ---------------------------------------------------------------------------
 
 
@@ -325,26 +325,6 @@ def test_cascade_sql_parity_small():
     assert len(eng) == len(ora)
     assert (eng["dqcflag"].to_numpy() == ora["dqcflag"].to_numpy()).all()
     assert (eng["keep"].to_numpy() == ora["keep"].to_numpy()).all()
-
-
-def test_dedup_broadcast_fallback_on_large_dup_map(ray_session):
-    """High-dup corpus: the broadcast strategy counts the duplicate map and
-    falls back to dedup_exact above the bound (round-2 verdict item 6)."""
-    import ray.data as rd
-
-    from titan_ray.stages.dedup import dedup_broadcast, dedup_exact
-
-    t = generate_corpus(400, seed=17, mega=False)
-    df = t.to_pandas()
-    dup = pd.concat([df, df.assign(ts=df["ts"] + pd.Timedelta(seconds=5))], ignore_index=True)
-    table = pa.Table.from_pandas(dup, preserve_index=False)
-    ds = rd.from_arrow(table).repartition(4)
-    out_fb = dedup_broadcast(ds, max_dup_map_rows=3).to_pandas()     # forces fallback
-    out_ex = dedup_exact(rd.from_arrow(table).repartition(4)).to_pandas()
-    assert len(out_fb) == len(out_ex)
-    k = ["conv_id", "turn_idx", "ts"]
-    assert sorted(map(tuple, out_fb[k].astype(str).to_numpy().tolist())) == \
-           sorted(map(tuple, out_ex[k].astype(str).to_numpy().tolist()))
 
 
 def test_langid_sql_parity_small(ray_session):

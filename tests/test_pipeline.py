@@ -177,9 +177,9 @@ def test_duplicate_turn_idx_parity(ray_session):
 
 def test_dedup_exact_tie_single_survivor(ray_session):
     """Full duplicates with identical (conv_id, turn_idx, ts) and identical
-    normalized text: both strategies and the oracle keep exactly ONE
-    (ADVICE r1: broadcast kept both)."""
-    from titan_ray.stages.dedup import dedup_broadcast, dedup_exact
+    normalized text: dedup_exact and the oracle keep exactly ONE
+    (ADVICE r1)."""
+    from titan_ray.stages.dedup import dedup_exact
     import ray.data as rd
 
     t = generate_corpus(600, seed=13, mega=False)
@@ -196,15 +196,13 @@ def test_dedup_exact_tie_single_survivor(ray_session):
     ora = oracle_qc(table, cfg)
     assert len(ora) == len(df) - int(df["ge_dup"].sum())  # planted dups + ties collapsed
 
-    for strategy in ("shuffle", "broadcast"):
-        ds = rd.from_arrow(table).repartition(1)
-        out = (dedup_broadcast(ds) if strategy == "broadcast" else dedup_exact(ds)).to_pandas()
-        assert len(out) == len(ora), strategy
-        # the surviving copy is the oracle's (min content-hash) choice
-        k = out[(out["conv_id"] == df.loc[10, "conv_id"]) & (out["turn_idx"] == df.loc[10, "turn_idx"])]
-        ko = ora[(ora["conv_id"] == df.loc[10, "conv_id"]) & (ora["turn_idx"] == df.loc[10, "turn_idx"])]
-        assert len(k) == 1 and len(ko) == 1, strategy
-        assert k["text"].iloc[0] == ko["text"].iloc[0], strategy
+    out = dedup_exact(rd.from_arrow(table).repartition(1)).to_pandas()
+    assert len(out) == len(ora)
+    # the surviving copy is the oracle's (min content-hash) choice
+    k = out[(out["conv_id"] == df.loc[10, "conv_id"]) & (out["turn_idx"] == df.loc[10, "turn_idx"])]
+    ko = ora[(ora["conv_id"] == df.loc[10, "conv_id"]) & (ora["turn_idx"] == df.loc[10, "turn_idx"])]
+    assert len(k) == 1 and len(ko) == 1
+    assert k["text"].iloc[0] == ko["text"].iloc[0]
 
 
 def test_dedup_near_drops_near_duplicates(ray_session):

@@ -1,11 +1,18 @@
 """Registry extension surface + IVF ANN."""
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pytest
 
 from titan_ray.config import QCConfig
-from titan_ray.pipelines.registry import DEFAULT_SPEC, build_pipeline_from_spec, register, registered
+from titan_ray.pipelines.registry import (
+    DEFAULT_SPEC,
+    build_pipeline_from_spec,
+    flagship_spec,
+    register,
+    registered,
+)
 
 
 def test_registry_has_reference_battery():
@@ -16,17 +23,38 @@ def test_registry_has_reference_battery():
 
 
 def test_spec_pipeline_matches_default(ray_session, small_corpus):
+    """The spec path and build_qc_pipeline give the same frame, column for
+    column, with every optional flagship step off, on, and dedup alone."""
     import ray.data as rd
 
+    from titan_ray.corpus import generate_corpus
     from titan_ray.pipelines.qc import build_qc_pipeline
 
-    cfg = QCConfig()
-    a = build_pipeline_from_spec(rd.from_arrow(small_corpus), cfg).to_pandas()
-    b = build_qc_pipeline(rd.from_arrow(small_corpus), cfg).to_pandas()
-    key = ["conv_id", "turn_idx"]
-    a = a.sort_values(key, na_position="last").reset_index(drop=True)
-    b = b.sort_values(key, na_position="last").reset_index(drop=True)
-    assert (a["dqcflag"].to_numpy() == b["dqcflag"].to_numpy()).all()
+    assert DEFAULT_SPEC == flagship_spec(QCConfig())
+    every = QCConfig(
+        dedup=True, dedup_near=True, impute_role_default="user",
+        role_affine={"assistant": (0.1, 1.1)}, enable_ccrrt=True, enable_zdem=True,
+    )
+    # each of the six toggles adds its one step
+    assert set(DEFAULT_SPEC) < set(flagship_spec(every))
+    assert len(flagship_spec(every)) == len(DEFAULT_SPEC) + 6
+    # dedup_near verifies every LSH candidate pair shingle by shingle: on
+    # small_corpus that is 22M rows, so it runs on its own parity corpus
+    near_corpus = generate_corpus(1100, seed=33, mega=False)
+    key = ["conv_id", "turn_idx", "ts", "text"]
+    for cfg, corpus in ((QCConfig(), small_corpus), (QCConfig(dedup=True), small_corpus), (every, near_corpus)):
+        a = build_pipeline_from_spec(rd.from_arrow(corpus), cfg).to_pandas()
+        b = build_qc_pipeline(rd.from_arrow(corpus), cfg).to_pandas()
+        a = a.sort_values(key, na_position="last").reset_index(drop=True)
+        b = b.sort_values(key, na_position="last").reset_index(drop=True)
+        pd.testing.assert_frame_equal(a, b)
+
+
+def test_flagship_dedup_rejects_broadcast():
+    """The one dedup is the shuffle: a config that asks for the removed
+    broadcast strategy fails at build time instead of being ignored."""
+    with pytest.raises(ValueError, match="dedup_strategy"):
+        build_pipeline_from_spec(None, QCConfig(dedup=True, dedup_strategy="broadcast"))
 
 
 def test_custom_check_plugs_in(ray_session, small_corpus):

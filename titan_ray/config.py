@@ -185,10 +185,9 @@ class QCConfig:
     # normalized turn text; keeps the first-ranked copy of each near-pair
     dedup_near: bool = False
     dedup_near_threshold: float = 0.5
-    # "shuffle": full-row hash-bucket shuffle (best when the text IS most of
-    # the row, as here); "broadcast": narrow hash aggregate + broadcast
-    # filter (wins when rows carry wide passthrough payloads the narrow
-    # projection avoids re-shuffling)
+    # the one dedup is "shuffle" (stages.dedup.dedup_exact, a full-row
+    # hash-bucket shuffle); the flagship's dedup step rejects any other
+    # value. Kept so existing configs still load.
     dedup_strategy: str = "shuffle"
 
     # ---- execution knobs ----

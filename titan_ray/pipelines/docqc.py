@@ -131,8 +131,8 @@ def dedup_exact_docs(sf_dir: str, num_buckets: int = 64):
     (reference: read_data_to_check.r:121-143 earlier-provider-wins).
 
     Scale shape: duplicate identity is the 128-bit siphash pair of the
-    normalized text (same identity as the flagship dedup_broadcast,
-    stages/dedup.py:125), so only (doc_id, h1, h2) crosses the exchange —
+    normalized text (stages/dedup.py:_hash2, the identity dedup_exact's
+    normalization feeds), so only (doc_id, h1, h2) crosses the exchange —
     the document text never leaves the map stage. At corpus scale that
     shrinks the shuffle from the full corpus bytes to ~24 B/doc."""
     from ..stages.dedup import _hash2, _normalize_arrow
@@ -1993,7 +1993,7 @@ def corpus_diff(sf_dir: str, num_buckets: int = 64):
     table: snapshot A = doc_id % 3 != 0; snapshot B = doc_id % 5 != 0 with
     text amended (' v2' suffix) where doc_id % 7 == 0 — so added, removed
     and changed are all exercised. Identity is the siphash pair of the
-    text (dedup_broadcast convention); the SQL twin FULL-OUTER-joins the
+    text (stages/dedup.py:_hash2); the SQL twin FULL-OUTER-joins the
     literal strings, so a collision would surface as a gate mismatch.
 
     Scale shape: each snapshot collapses to (doc_id, side, h1, h2) at the
@@ -3202,7 +3202,7 @@ SEG_W = 10                       # words per segment (trailing segment shorter)
 _MAX_SEG_IDX = 1 << 20           # composite winner key = doc_id * 2^20 + seg_idx
 # broadcast bound on the winner table (distinct segments): 5M entries =
 # two int64 arrays = 80 MB per worker heap; above it the operator degrades
-# to the distributed join path (same pattern as dedup_broadcast/lm_fluency).
+# to the distributed join path (same pattern as dedup_near/lm_fluency).
 MAX_SEG_WINNERS_BROADCAST = 5_000_000
 
 
@@ -5611,7 +5611,7 @@ def pack_bins_sql(capacity: int = PACK_CAPACITY) -> str:
 # operator; the SQL twin composes the standalone twins as chained CTEs.
 # ---------------------------------------------------------------------------
 
-MAX_BUILD_DUP_MAP = 2_000_000  # dedup_broadcast's bound, same rationale
+MAX_BUILD_DUP_MAP = 2_000_000  # distinct duplicated texts the driver may broadcast
 
 
 def doc_pretrain_build(sf_dir: str, capacity: int = PACK_CAPACITY,
@@ -5625,7 +5625,7 @@ def doc_pretrain_build(sf_dir: str, capacity: int = PACK_CAPACITY,
     SURVIVING copy): gates -> dedup -> decontam -> pack. Scale shape: the
     gates are row-local; dedup moves only (doc_id, h1, h2) and broadcasts
     the counted dup map (count > MAX_BUILD_DUP_MAP raises toward the
-    full-shuffle strategy, dedup_broadcast convention); the eval-gram probe
+    full-row shuffle of stages/dedup.py:dedup_exact); the eval-gram probe
     is the enforced-bound decontaminate broadcast; packing is the
     finite-domain scan. The corpus text crosses the wire ZERO times."""
     import logging

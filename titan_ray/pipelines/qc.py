@@ -1,37 +1,26 @@
 """The flagship QC pipeline — reference: titan.r:103-269, recast Ray-Data-first.
 
-One Dataset, streaming end-to-end; the only all-to-all exchanges are the
-optional dedup bucket shuffle and the single conv-bucket shuffle feeding ALL
-conversation-local checks (SURVEY.md §3.4). Both are
-``exchange.bucket_exchange``: a sort on the bucket column, then ONE
+One Dataset, streaming end-to-end. Its steps are listed once, in
+``registry.flagship_spec``; ``build_qc_pipeline`` composes them. The only
+all-to-all exchanges are the optional dedup bucket shuffle and the single
+conv-bucket shuffle feeding ALL conversation-local checks (SURVEY.md §3.4).
+Both are ``exchange.bucket_exchange``: a sort on the bucket column, then ONE
 vectorized kernel call per shuffled block (dedup_bucket_arrow,
-run_conv_checks_arrow), not one per bucket. Stage order = reference check
-order (titan.r:115-263), first-flag-wins.
+run_conv_checks_arrow), not one per bucket. Ray Data fuses the task maps
+between them, so the plan is (dedup sort) -> one map -> conv sort -> one
+map. Stage order = reference check order (titan.r:115-263), first-flag-wins.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 import pyarrow as pa
 
 from ..config import QCConfig
-from ..exchange import bucket_exchange
-from ..stages.conv import run_conv_checks_arrow, salt_batch
-from ..stages.dedup import dedup_broadcast, dedup_exact, dedup_near
-from ..stages.rowwise import (
-    ccrrt_check,
-    climatological_check,
-    final_decision,
-    metadata_check,
-    plausibility_check,
-    seed_lists,
-    zdem_check,
-)
-from ..stages.scorer import cached_scorer, shared_model_refs
-from ..stages.scrub_stage import scrub_batch
-from ..sources.reader import affine_rescale_qscore, impute_defaults, project_output
-from ..sources.reader import read_parquet_clean
+from ..stages.conv import salt_batch
+from ..stages.rowwise import ccrrt_check, climatological_check, plausibility_check, zdem_check
+from ..stages.scorer import cached_scorer
+from ..sources.reader import affine_rescale_qscore, read_parquet_clean
+from .registry import build_pipeline_from_spec
 
 HELPER_COLS = ("conv_key", "is_core", "bucket")
 
@@ -43,13 +32,13 @@ def _drop_helpers(batch: pa.Table) -> pa.Table:
 
 class ScoreChain:
     """Scorer + post-score rowwise checks + conv-bucket salting in ONE
-    callable, so the flagship runs them as one map feeding the conv shuffle.
+    callable: the flagship's steps from ``scorer`` through the salt of
+    ``conv_checks`` applied to one batch, for callers that want a salted
+    batch without a Dataset. The engine runs these as separate registry
+    steps, which Ray fuses into one task map.
 
     Cheap to build: the Scorer comes from the per-process cache
-    (stages.scorer.cached_scorer), so the flagship builds one ScoreChain per
-    batch inside a plain task map (``score_chain``). No actor pool: task
-    workers are reused across executions, hold no CPU slot between them, and
-    the flagship runs at any CPU count, one included."""
+    (stages.scorer.cached_scorer)."""
 
     def __init__(self, cfg: QCConfig, num_buckets: int, model_refs=None):
         # with model_refs, zero-copy views of the ONE node-shared plasma copy
@@ -74,61 +63,17 @@ class ScoreChain:
         return salt_batch(b, cfg=cfg, num_buckets=self.num_buckets)
 
 
-def score_chain(batch: pa.Table, cfg: QCConfig, num_buckets: int, model_refs=None) -> pa.Table:
-    return ScoreChain(cfg, num_buckets, model_refs)(batch)
-
-
-def post_conv(batch: pa.Table) -> pa.Table:
-    """Everything after the conv shuffle, stateless: drop the shuffle
-    helpers -> final decision -> scrub -> output projection."""
-    return project_output(scrub_batch(final_decision(_drop_helpers(batch))))
-
-
 def build_qc_pipeline(ds, cfg: QCConfig | None = None, num_buckets: int = 128):
     """ds: Dataset with the transcript input schema (extra columns pass
     through untouched — the reference's dataopt passthrough,
-    write_output.r:41-45). Returns the lazy scored+flagged+scrubbed Dataset."""
-    cfg = cfg or QCConfig()
-
-    if cfg.dedup_near:
-        # dedup_near consumes the upstream dataset three times (candidates,
-        # drop set, final filter). dedup_broadcast's residual cross-batch
-        # multi-keep is batching-dependent, so its output could differ
-        # between those executions (round-2 advice item 3): force the
-        # deterministic full-row shuffle and materialize ONCE so all three
-        # passes read the same blocks instead of recomputing the prefix.
-        if cfg.dedup:
-            ds = dedup_exact(ds)
-        ds = ds.materialize()
-        ds = dedup_near(ds, threshold=cfg.dedup_near_threshold)
-    elif cfg.dedup:
-        ds = dedup_broadcast(ds) if cfg.dedup_strategy == "broadcast" else dedup_exact(ds)
-
-    if cfg.impute_role_default is not None:
-        ds = ds.map_batches(
-            partial(impute_defaults, role_default=cfg.impute_role_default),
-            batch_format="pyarrow", batch_size=cfg.batch_size,
-        )
-    ds = ds.map_batches(partial(seed_lists, cfg=cfg), batch_format="pyarrow", batch_size=cfg.batch_size)
-    ds = ds.map_batches(partial(metadata_check, cfg=cfg), batch_format="pyarrow", batch_size=cfg.batch_size)
-    # ONE map: score -> affine -> (ccrrt/zdem) -> plausibility ->
-    # climatological -> salt (see ScoreChain) feeding straight into the ONE
-    # conversation-local shuffle (dual, fgt, buddy, sct, isolation)
-    ds = ds.map_batches(
-        score_chain,
-        fn_kwargs={"cfg": cfg, "num_buckets": num_buckets, "model_refs": shared_model_refs()},
-        batch_format="pyarrow",
-        batch_size=cfg.batch_size,
-    )
-    ds = bucket_exchange(ds, "bucket", partial(run_conv_checks_arrow, cfg=cfg))
-    ds = ds.map_batches(post_conv, batch_format="pyarrow", batch_size=cfg.batch_size)
-    return ds
+    write_output.r:41-45). Returns the lazy scored+flagged+scrubbed Dataset
+    of ``registry.flagship_spec(cfg)``, salted into ``num_buckets`` conv
+    buckets."""
+    return build_pipeline_from_spec(ds, cfg or QCConfig(), num_buckets=num_buckets)
 
 
 def run_qc(input_path: str, output_path: str | None = None, cfg: QCConfig | None = None, **read_kwargs):
     """Read parquet → QC → (optionally) write partitioned parquet."""
-    import ray.data as rd
-
     ds = read_parquet_clean(input_path, **read_kwargs)
     out = build_qc_pipeline(ds, cfg)
     if output_path is not None:

@@ -398,7 +398,7 @@ def _rowwise_case(cfg: QCConfig) -> str:
     plaus_arm = f"lang_conf < {cfg.conf_min!r} OR ppl > {cfg.ppl_hard_max!r}"
     if cfg.enable_ccrrt or cfg.enable_zdem:
         # optional row-wise checks run AFTER metadata, BEFORE plausibility
-        # (ScoreChain order, pipelines/qc.py) and — unlike metadata/
+        # (flagship order, pipelines/registry.py:flagship_spec) and — unlike metadata/
         # plausibility — cannot flag keep-listed rows (testable_mask), so
         # the keep arm must close the row before they are considered while
         # plausibility still gets its flags_keeplisted look first.

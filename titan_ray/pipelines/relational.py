@@ -846,7 +846,7 @@ def tpch_small_qty_revenue(sf_dir: str, num_buckets: int = 64,
     table is then COUNTED: at or below ``max_broadcast_parts`` it
     broadcasts (sorted arrays + searchsorted) and the 6x-larger detail
     stream is gated STATELESSLY with no shuffle at all; above the bound
-    both sides co-partition by partkey % B (the dedup_broadcast counted-
+    both sides co-partition by partkey % B (dedup_near's counted-
     fallback pattern — both paths bit-identical, unit-tested at a lowered
     cap). Driver merges B one-row partials either way.
     """

@@ -11,8 +11,8 @@ design doc reserves for exactly this case; everything else stays Dataset).
 
 Design:
 - ``DedupIndex`` = ``num_shards`` actors, each owning a dict from the
-  128-bit content-hash pair (dedup_broadcast's siphash convention,
-  stages/dedup.py:138) to the MIN doc id seen so far. Hash-partitioning by
+  128-bit content-hash pair (the siphash pair of
+  stages/dedup.py:_hash2) to the MIN doc id seen so far. Hash-partitioning by
   h1 % shards makes every merge shard-local; shards scale horizontally and
   on a real cluster spread across nodes (``scheduling_strategy="SPREAD"``).
 - ``offer`` is called from INSIDE ``map_batches`` tasks: each task groups
