@@ -21,7 +21,14 @@ from titan_ray.corpus import MEGA_CONV_ID, generate_corpus
 from titan_ray.oracle.serial import oracle_qc
 from titan_ray.pipelines.qc import ScoreChain, build_qc_pipeline
 from titan_ray.stages.conv import NULL_CONV_KEY, run_conv_checks_arrow
-from titan_ray.stages.dedup import _normalize_arrow, add_dedup_bucket, dedup_bucket_arrow
+from titan_ray.schema import narrow_strings
+from titan_ray.stages.dedup import (
+    _norm_and_rank,
+    _normalize_arrow,
+    add_dedup_bucket,
+    dedup_bucket_arrow,
+    dedup_exact,
+)
 from titan_ray.stages.rowwise import metadata_check, seed_lists
 
 CONV_BUCKETS = 16  # few buckets, so each holds several windows
@@ -60,16 +67,24 @@ def _assert_composable(kernel, t: pa.Table, key: str) -> None:
     pd.testing.assert_frame_equal(_sorted_frame(one), want, check_exact=True)
 
 
+def _copies(t: pa.Table, i: int, null_ts: bool = False) -> list[pa.Table]:
+    """A byte-identical copy and a case variant of row ``i`` (same
+    normalized text, tied rank position), optionally with a null ts."""
+    row = t.slice(i, 1)
+    if null_ts:
+        row = row.set_column(t.column_names.index("ts"), "ts", pa.nulls(1, t.schema.field("ts").type))
+    upper = row.set_column(t.column_names.index("text"), "text", pc.utf8_upper(row["text"]))
+    return [row, upper]
+
+
 @pytest.fixture(scope="module")
 def corpus() -> pa.Table:
     """Labeled corpus with a 1.6k-turn mega conversation, null conv_ids,
-    empty and null texts and planted duplicates, plus one byte-identical
-    copy and one case variant of a row (same normalized text, tied rank
-    position)."""
+    negative turn_idx, empty and null texts and planted duplicates, plus a
+    byte-identical copy and a case variant of two rows: of one as is, and
+    of one with a null ts (which ranks after every timed row)."""
     t = generate_corpus(600, seed=7)
-    row = t.slice(40, 1)
-    upper = row.set_column(t.column_names.index("text"), "text", pc.utf8_upper(row["text"]))
-    return pa.concat_tables([t, row, upper])
+    return pa.concat_tables([t, *_copies(t, 40), *_copies(t, 41, null_ts=True)])
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +102,9 @@ def test_fixture_has_the_awkward_keys(corpus, salted):
     assert pc.sum(pc.equal(corpus["text"], "")).as_py() > 0
     norm = _normalize_arrow(corpus["text"])
     assert norm[norm != ""].duplicated().sum() > 0
+    assert pc.min(corpus["turn_idx"]).as_py() < 0
+    null_ts = corpus.filter(pc.is_null(corpus["ts"]))["text"]
+    assert null_ts.length() >= 2 and len(set(_normalize_arrow(null_ts))) == 1
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["string", "large_string"])
@@ -100,6 +118,42 @@ def test_dedup_kernel_is_key_composable(corpus, wide):
     t = add_dedup_bucket(_widen(corpus) if wide else corpus)
     assert dedup_bucket_arrow(t).num_rows < t.num_rows
     _assert_composable(dedup_bucket_arrow, t, "_dd_bucket")
+
+
+def _reference_keep_first(t: pa.Table) -> pa.Table:
+    """The keep-first kernel before the 128-bit hash: an object argsort on
+    the rank string, then the first row per normalized text, plus every
+    empty text."""
+    norm, rank = _norm_and_rank(t)
+    norm = norm.to_numpy(dtype=object)
+    order = np.argsort(rank.to_numpy(dtype=object), kind="stable")
+    _, first_pos = np.unique(norm[order], return_index=True)
+    keep = norm[order] == ""
+    keep[first_pos] = True
+    return t.take(pa.array(np.sort(order[keep])))
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["string", "large_string"])
+def test_dedup_kernel_keeps_the_reference_rows(corpus, wide):
+    """add_dedup_bucket + dedup_bucket_arrow keep exactly the rows the
+    normalized-text kernel keeps, in the same order."""
+    t = _widen(corpus) if wide else corpus
+    want = narrow_strings(_reference_keep_first(t))
+    got = dedup_bucket_arrow(add_dedup_bucket(t))
+    assert got.num_rows < t.num_rows
+    assert got.equals(want)
+
+
+def test_dedup_map_runs_in_batches(ray_session, small_corpus):
+    """The dedup map runs in batch_size batches, so the sort sees a few
+    block-sized inputs, not the input's 29 small blocks."""
+    import math
+
+    import ray.data as rd
+
+    bs = QCConfig().batch_size
+    out = dedup_exact(rd.from_arrow(small_corpus).repartition(29), batch_size=bs).materialize()
+    assert out.num_blocks() <= math.ceil(small_corpus.num_rows / bs) + 1
 
 
 def test_bucket_exchange_runs_once_per_block(ray_session):
@@ -125,21 +179,23 @@ KEY = ["conv_id", "turn_idx", "ts", "text"]
 
 
 def test_flagship_block_layout_invariant_and_oracle_equal(ray_session, small_corpus):
-    """build_qc_pipeline(dedup=True) at 1, 7 and 29 input blocks: identical
-    sorted output, equal to the serial oracle."""
+    """build_qc_pipeline(dedup=True) at 1, 7 and 29 input blocks, over a
+    corpus with a byte-identical copy and a case variant of a row:
+    identical sorted output, equal to the serial oracle."""
     import ray.data as rd
 
     cfg = QCConfig(dedup=True)
+    t = pa.concat_tables([small_corpus, *_copies(small_corpus, 40)])
     outs = []
     for blocks in (1, 7, 29):
-        ds = rd.from_arrow(small_corpus).repartition(blocks)
+        ds = rd.from_arrow(t).repartition(blocks)
         outs.append(_sorted_frame(pa.Table.from_pandas(build_qc_pipeline(ds, cfg).to_pandas(),
                                                        preserve_index=False)))
     for other in outs[1:]:
         pd.testing.assert_frame_equal(other, outs[0], check_exact=True)
 
     eng = outs[0].sort_values(KEY, na_position="last").reset_index(drop=True)
-    ora = oracle_qc(small_corpus, cfg).sort_values(KEY, na_position="last").reset_index(drop=True)
+    ora = oracle_qc(t, cfg).sort_values(KEY, na_position="last").reset_index(drop=True)
     # every column the oracle computes (the engine adds n_chars/n_words/rep_ratio)
     pd.testing.assert_frame_equal(eng[list(ora.columns)], ora, check_exact=True)
 

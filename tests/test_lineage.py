@@ -37,14 +37,27 @@ def test_resume_skips_completed_partitions(ray_session, tmp_path):
 
 
 def test_manifest_contents(ray_session, tmp_path):
+    """Each manifest names its inputs and counts rows in and out; with
+    dedup on, input_rows - rows is the oracle's dedup removal count."""
+    import pyarrow.parquet as pq
+
+    from titan_ray.oracle.serial import oracle_qc
+
     inp, out = _setup(tmp_path)
-    run_qc_resumable(inp, out, QCConfig(), files_per_partition=4)
-    with open(manifest_path(out, 0)) as f:
-        m = json.load(f)
-    assert m["rows"] > 0
-    assert "0" in m["flag_histogram"]
-    assert len(m["inputs"]) == 4
-    assert m["engine_version"].startswith("titan_ray")
+    cfg = QCConfig(dedup=True)
+    s = run_qc_resumable(inp, out, cfg, files_per_partition=4)
+    for i in range(s["partitions"]):
+        with open(manifest_path(out, i)) as f:
+            m = json.load(f)
+        assert m["rows"] > 0
+        assert "0" in m["flag_histogram"]
+        assert len(m["inputs"]) == 4
+        assert m["engine_version"].startswith("titan_ray")
+        table = pq.ParquetDataset(m["inputs"]).read()
+        assert m["input_rows"] == table.num_rows
+        removed = table.num_rows - len(oracle_qc(table, cfg))
+        assert removed > 0
+        assert m["input_rows"] - m["rows"] == removed
 
 
 def test_no_tmp_dirs_left(ray_session, tmp_path):

@@ -205,6 +205,35 @@ def test_dedup_exact_tie_single_survivor(ray_session):
     assert k["text"].iloc[0] == ko["text"].iloc[0]
 
 
+@pytest.mark.parametrize("blocks", [1, 7])
+def test_dedup_exact_null_ts_matches_oracle(ray_session, blocks):
+    """Duplicated rows with a null ts or a null turn_idx: dedup_exact keeps
+    the oracle's rows, which sort a null ts after every timed row and a null
+    turn_idx after every numbered turn (na_position="last")."""
+    from titan_ray.stages.dedup import dedup_exact
+    import ray.data as rd
+
+    df = generate_corpus(600, seed=13, mega=False).to_pandas()
+    df["turn_idx"] = df["turn_idx"].astype("Int32")
+    df.loc[30, "ts"] = pd.NaT
+    tie = df.iloc[[30]].assign(text=lambda d: d["text"].str.upper())  # content hash decides
+    both = pd.concat([df, df.iloc[[10, 12]], tie], ignore_index=True)
+    both.loc[len(df), "ts"] = pd.NaT  # a null-ts copy of row 10: the timed original wins
+    both.loc[len(df) + 1, "turn_idx"] = pd.NA  # a null-turn copy of row 12: the original wins
+    table = pa.Table.from_pandas(both, preserve_index=False)
+    assert table.schema.field("turn_idx").type == pa.int32()
+    ora = oracle_qc(table, QCConfig(dedup=True))
+    assert len(ora) == len(df) - int(df["ge_dup"].sum())
+
+    out = dedup_exact(rd.from_arrow(table).repartition(blocks)).to_pandas()
+    key = ["conv_id", "turn_idx", "ts", "text"]
+    cols = table.column_names
+    pd.testing.assert_frame_equal(
+        out[cols].sort_values(key, na_position="last").reset_index(drop=True),
+        ora[cols].sort_values(key, na_position="last").reset_index(drop=True),
+    )
+
+
 def test_dedup_near_drops_near_duplicates(ray_session):
     """Epsilon-tolerance dedup at read (duplicate_check analog): a turn that
     is a near-copy (one changed word) of an earlier turn is dropped; the
@@ -305,7 +334,7 @@ def test_large_string_blocks_flow_through(ray_session):
     import pyarrow.compute as pc
 
     from titan_ray.schema import narrow_strings
-    from titan_ray.stages.dedup import dedup_bucket_arrow
+    from titan_ray.stages.dedup import add_dedup_bucket, dedup_bucket_arrow
 
     t = generate_corpus(400, seed=21, mega=False)
     big = pa.table(
@@ -321,7 +350,7 @@ def test_large_string_blocks_flow_through(ray_session):
     assert pa.types.is_large_string(big.schema.field("text").type)
     narrowed = narrow_strings(big)
     assert narrowed.schema == t.schema
-    out_big = dedup_bucket_arrow(big)
-    out_small = dedup_bucket_arrow(t)
+    out_big = dedup_bucket_arrow(add_dedup_bucket(big))
+    out_small = dedup_bucket_arrow(add_dedup_bucket(t))
     assert out_big.num_rows == out_small.num_rows
     assert out_big.cast(out_small.schema).equals(out_small)

@@ -131,8 +131,8 @@ def dedup_exact_docs(sf_dir: str, num_buckets: int = 64):
     (reference: read_data_to_check.r:121-143 earlier-provider-wins).
 
     Scale shape: duplicate identity is the 128-bit siphash pair of the
-    normalized text (stages/dedup.py:_hash2, the identity dedup_exact's
-    normalization feeds), so only (doc_id, h1, h2) crosses the exchange —
+    normalized text (stages/dedup.py:_hash2, also dedup_exact's
+    identity), so only (doc_id, h1, h2) crosses the exchange —
     the document text never leaves the map stage. At corpus scale that
     shrinks the shuffle from the full corpus bytes to ~24 B/doc."""
     from ..stages.dedup import _hash2, _normalize_arrow
@@ -5694,8 +5694,8 @@ def doc_pretrain_build(sf_dir: str, capacity: int = PACK_CAPACITY,
     if len(dups) > MAX_BUILD_DUP_MAP:
         raise ValueError(
             f"doc_pretrain_build: dup map {len(dups)} rows > "
-            f"{MAX_BUILD_DUP_MAP}; switch stage B to the full-shuffle "
-            "dedup_exact strategy (stages/dedup.py:73)")
+            f"{MAX_BUILD_DUP_MAP}; stage B needs a full-row hash-bucket "
+            "shuffle like stages.dedup.dedup_exact instead of a broadcast dup map")
     dup_ref = ray.put(dups)
 
     # --- stages B-drop + C (decontam) fused: one row-local pass ---

@@ -6,9 +6,12 @@ all-to-all exchanges are the optional dedup bucket shuffle and the single
 conv-bucket shuffle feeding ALL conversation-local checks (SURVEY.md §3.4).
 Both are ``exchange.bucket_exchange``: a sort on the bucket column, then ONE
 vectorized kernel call per shuffled block (dedup_bucket_arrow,
-run_conv_checks_arrow), not one per bucket. Ray Data fuses the task maps
-between them, so the plan is (dedup sort) -> one map -> conv sort -> one
-map. Stage order = reference check order (titan.r:115-263), first-flag-wins.
+run_conv_checks_arrow), not one per bucket. The dedup map normalizes each
+text once, in ``batch_size`` batches, and rows cross its sort with three
+int columns added (bucket and 128-bit text hash); the reduce side keeps the
+first row per hash without normalizing again. Ray Data fuses the task maps
+between the sorts, so the plan is (dedup sort) -> one map -> conv sort ->
+one map. Stage order = reference check order (titan.r:115-263), first-flag-wins.
 """
 
 from __future__ import annotations

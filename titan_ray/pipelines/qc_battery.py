@@ -113,7 +113,7 @@ def ensure_scored(sf_dir: str) -> str:
     os.makedirs(out, exist_ok=True)
     cfg = battery_config()
     ds = rd.read_parquet(corpus_path_for_sf(sf))
-    ds = dedup_exact(ds)
+    ds = dedup_exact(ds, batch_size=cfg.batch_size)
     ds = ds.map_batches(
         score_batch, fn_kwargs={"model_refs": shared_model_refs()},
         batch_format="pyarrow", batch_size=cfg.batch_size,

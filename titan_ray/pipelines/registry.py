@@ -56,7 +56,7 @@ def _dedup(ds, cfg):
             f"dedup_strategy={cfg.dedup_strategy!r}: the only dedup is 'shuffle' "
             "(stages.dedup.dedup_exact)"
         )
-    return dedup_exact(ds)
+    return dedup_exact(ds, batch_size=cfg.batch_size)
 
 
 def _conv_checks(ds, cfg, num_buckets: int = 128):

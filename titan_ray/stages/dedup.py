@@ -1,11 +1,14 @@
 """Exact near-read deduplication (reference: read_data_to_check.r:121-143 —
 optional removal of near-duplicate stations, earlier provider wins).
 
-Transcript semantics: normalize text (lower, collapse whitespace), hash,
-co-locate candidates by hash bucket (one shuffle over a SMALL key), then
-keep the first row per identical normalized text under the stable order
-(conv_id, turn_idx, ts). Bucketing by hash rather than by full text keeps
-the sort key small (num_buckets values) instead of one per distinct text.
+Transcript semantics: keep the first row per identical normalized text
+(lower, collapse whitespace) under the stable rank order (conv_id,
+turn_idx, ts, content hash); empty and null texts are always kept. The
+duplicate identity is the 128-bit hash of the normalized text (_hash2).
+dedup_exact normalizes each text once, on the map side, which appends the
+hash as two int64 columns plus a hash bucket; full rows then cross ONE
+sort on the bucket (num_buckets values, not one per distinct text), and
+the reduce side keeps the first row per hash with an Arrow sort.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..config import QCConfig
 from ..exchange import bucket_exchange
 
 NORM_RE = r"\s+"
@@ -40,52 +44,72 @@ def _normalize_arrow(texts) -> pd.Series:
     return out.to_pandas().fillna("")
 
 
+DD_COLS = ("_dd_bucket", "_dd_h1", "_dd_h2")
+
+
 def add_dedup_bucket(batch: pa.Table, num_buckets: int = 256) -> pa.Table:
-    norm = _normalize_arrow(batch["text"])
-    hv = pd.util.hash_array(norm.to_numpy(dtype=object))
-    return batch.append_column("_dd_bucket", pa.array((hv % num_buckets).astype(np.int32)))
+    """Map side of dedup_exact: normalize each text once and append its
+    128-bit hash (``_dd_h1``, ``_dd_h2``, int64) and its bucket
+    (``_dd_bucket`` = h1 mod ``num_buckets``)."""
+    h1, h2 = _hash2(_normalize_arrow(batch["text"]))
+    bucket = (h1.view(np.uint64) % np.uint64(num_buckets)).astype(np.int32)
+    for name, col in zip(DD_COLS, (bucket, h1, h2)):
+        batch = batch.append_column(name, pa.array(col))
+    return batch
 
 
 def dedup_bucket_arrow(tbl: pa.Table) -> pa.Table:
-    """Arrow-native keep-first: narrow columns to numpy, one take() for the
-    surviving wide rows (no pandas round-trip of text payloads).
+    """Reduce side of dedup_exact: keep the first row, in rank order, of
+    each 128-bit text hash, plus every empty or null text. One stable Arrow
+    sort over (h1, h2, rank), then one take() of the kept rows in block
+    order; the texts are not normalized again.
 
-    Keyed on the normalized text, so it is key-composable: any union of
-    whole buckets gives the same rows as one call per bucket."""
+    Keyed on the text hash, so it is key-composable: any union of whole
+    buckets gives the same rows as one call per bucket."""
+    import pyarrow.compute as pc
+
     from ..schema import narrow_strings
 
     tbl = narrow_strings(tbl)  # polars-backed sort emits large_string
-    norm, rank = _norm_and_rank(tbl)
-    norm = norm.to_numpy(dtype=object)
-    order = np.argsort(rank.to_numpy(dtype=object), kind="stable")
-    norm_sorted = norm[order]
-    codes, first_pos = np.unique(norm_sorted, return_index=True)
-    first = np.zeros(len(order), dtype=bool)
-    first[first_pos] = True
+    keys = pa.table({"h1": tbl["_dd_h1"], "h2": tbl["_dd_h2"], "rank": _rank(tbl)})
+    order = pc.sort_indices(keys, sort_keys=[("h1", "ascending"), ("h2", "ascending"),
+                                             ("rank", "ascending")])
+    h1 = keys["h1"].take(order).to_numpy()
+    h2 = keys["h2"].take(order).to_numpy()
+    first = np.ones(len(h1), dtype=bool)
+    first[1:] = (h1[1:] != h1[:-1]) | (h2[1:] != h2[:-1])
     # empty/null texts are never "duplicates" of each other — the metadata
     # check owns them (reference dedups on value+position, not on missing).
-    keep_sorted = first | (norm_sorted == "")
-    keep_idx = np.sort(order[keep_sorted])
-    out = tbl.take(pa.array(keep_idx))
-    return out.drop_columns(["_dd_bucket"]) if "_dd_bucket" in out.column_names else out
+    empty = (h1 == _EMPTY_H1) & (h2 == _EMPTY_H2)
+    keep = np.sort(order.to_numpy()[first | empty])
+    return tbl.take(pa.array(keep)).drop_columns(list(DD_COLS))
 
 
-def dedup_exact(ds, num_buckets: int = 256):
-    """Dataset-level exact dedup: bucket-by-hash shuffle + keep-first.
+def dedup_exact(ds, num_buckets: int = 256, batch_size: int = QCConfig.batch_size):
+    """Dataset-level exact dedup: hash-bucket shuffle + keep-first.
 
-    Moves FULL rows through one sort on ``_dd_bucket``; the keep-first
-    kernel then runs ONCE per shuffled block over all the buckets it holds
+    The map side runs in ``batch_size`` batches, so the sort gets a few
+    block-sized inputs however finely the input is split; it normalizes each
+    text once and carries its 128-bit hash. FULL rows move through one sort
+    on ``_dd_bucket`` with three int columns added; the keep-first kernel
+    then runs ONCE per shuffled block over all the buckets it holds
     (exchange.bucket_exchange), not once per bucket. Deterministic: the
     surviving ranks depend only on the input rows, not on their block
     layout, so dedup_near may read this output more than once."""
-    ds = ds.map_batches(lambda b: add_dedup_bucket(b, num_buckets), batch_format="pyarrow")
+    ds = ds.map_batches(partial(add_dedup_bucket, num_buckets=num_buckets),
+                        batch_format="pyarrow", batch_size=batch_size)
     return bucket_exchange(ds, "_dd_bucket", dedup_bucket_arrow)
 
 
 _RANK_SEP = "\x01"  # sorts below every printable byte => prefix-safe
 
 
-def _norm_and_rank(batch: pa.Table) -> tuple[pd.Series, pd.Series]:
+def _rank(batch: pa.Table) -> pa.Array:
+    """Each row's keep-first rank string: conv_id, zero-padded turn_idx,
+    zero-padded ts (microseconds) and a content hash, joined by _RANK_SEP.
+    A null conv_id ranks after every other ("\x7f"), as do a null turn_idx
+    and a null ts ("~", after every digit and "-"), like the serial oracle's
+    na_position="last"."""
     import pyarrow.compute as pc
 
     # normalize offset width: binary_join_element_wise has no mixed
@@ -94,15 +118,11 @@ def _norm_and_rank(batch: pa.Table) -> tuple[pd.Series, pd.Series]:
     from ..schema import narrow_strings
 
     batch = narrow_strings(batch)
-    norm = _normalize_arrow(batch["text"])
-    turn = pc.utf8_lpad(
-        pc.cast(pc.coalesce(batch["turn_idx"], pa.scalar(-1, pa.int32())), pa.string()),
-        12, "0",
-    )
-    ts_us = pc.cast(pc.cast(batch["ts"], pa.int64()), pa.string())
+    turn = pc.utf8_lpad(pc.cast(batch["turn_idx"], pa.string()), 12, "0")
+    ts_us = pc.utf8_lpad(pc.cast(pc.cast(batch["ts"], pa.int64()), pa.string()), 20, "0")
     # content-hash tiebreak: rows tied on (conv_id, turn_idx, ts) but
     # differing in raw text / role / tool get DISTINCT deterministic ranks,
-    # so exactly one survives (stable across the two passes by construction)
+    # so exactly one survives
     content = pc.binary_join_element_wise(
         pc.coalesce(batch["text"], pa.scalar("\x00")),
         pc.coalesce(batch["role"], pa.scalar("\x00")) if "role" in batch.column_names else pa.scalar("\x00"),
@@ -110,14 +130,18 @@ def _norm_and_rank(batch: pa.Table) -> tuple[pd.Series, pd.Series]:
         _RANK_SEP,
     )
     chash = pd.util.hash_array(content.to_pandas().to_numpy(dtype=object))
-    rank = pc.binary_join_element_wise(
+    return pc.binary_join_element_wise(
         pc.coalesce(batch["conv_id"], pa.scalar("\x7f")),
-        turn,
-        pc.utf8_lpad(ts_us, 20, "0"),
+        pc.coalesce(turn, pa.scalar("~")),
+        pc.coalesce(ts_us, pa.scalar("~")),
         _hex16(chash),
         _RANK_SEP,
     )
-    return norm, rank.to_pandas()
+
+
+def _norm_and_rank(batch: pa.Table) -> tuple[pd.Series, pd.Series]:
+    """(normalized text, rank string) per row, as pandas Series."""
+    return _normalize_arrow(batch["text"]), _rank(batch).to_pandas()
 
 
 def _hex16(ch: np.ndarray) -> pa.Array:
@@ -140,6 +164,10 @@ def _hash2(norm: pd.Series) -> tuple[np.ndarray, np.ndarray]:
     h1 = pd.util.hash_array(arr).astype(np.int64)
     h2 = pd.util.hash_array(arr, hash_key="1234567890123457").astype(np.int64)
     return h1, h2
+
+
+# the hash of "" (what empty and null texts normalize to)
+_EMPTY_H1, _EMPTY_H2 = (int(h[0]) for h in _hash2(pd.Series([""])))
 
 
 # broadcast bound for dedup_near's candidate-pair membership table (rows =
@@ -385,7 +413,7 @@ def dedup_near(ds, threshold: float = 0.5, num_buckets: int = 64,
         d = ray.get(drop_ref)
         if len(d) == 0:
             return batch
-        _, rank = _norm_and_rank(batch)
-        return batch.filter(pa.array(~np.isin(rank.to_numpy(dtype=object), d)))
+        rank = _rank(batch).to_numpy(zero_copy_only=False)
+        return batch.filter(pa.array(~np.isin(rank, d)))
 
     return ds.map_batches(flt, batch_format="pyarrow")

@@ -7,7 +7,8 @@ the engine writes output one input-partition at a time:
 
     out_dir/
       part-00000/          <- parquet files for partition 0 (atomic rename)
-      _lineage/part-00000.json   <- manifest: inputs, row counts, flag histo
+      _lineage/part-00000.json   <- manifest: inputs, input and output row
+                                    counts, flag histo
 
 A manifest is written only AFTER its partition's data is durably on disk,
 so on resume a partition is skipped iff its manifest exists — no torn
@@ -104,6 +105,7 @@ def _commit(out_dir: str, part: int, files: list[str]) -> int:
     it into place, then write its manifest. Returns its row count."""
     import pyarrow.compute as pac
     import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
 
     part_dir = _part_dir(out_dir, part)
     tmp_dir = part_dir + ".tmp"
@@ -128,6 +130,9 @@ def _commit(out_dir: str, part: int, files: list[str]) -> int:
     manifest = {
         "partition": part,
         "inputs": files,
+        # from the input footers; only the dedup steps remove rows, so
+        # input_rows - rows is what dedup (exact and near) removed here
+        "input_rows": sum(pq.read_metadata(f).num_rows for f in files),
         "rows": rows,
         "flag_histogram": histo,
         "engine_version": ENGINE_VERSION,
