@@ -688,3 +688,57 @@ def test_events_ols_slope(ray_session, tmp_path):
     ora = con.sql(ols_slope_sql()).df()
     assert len(eng) == len(ora) > 0
     assert value_hash(eng) == value_hash(ora)
+
+
+def test_scored_sidecar_keyed_to_engine_digest(tmp_path, monkeypatch):
+    """ensure_scored rewrites the sidecar when engine_digest() changes and
+    reuses it when the digest is unchanged."""
+    from titan_ray.pipelines import qc_battery
+
+    digest = {"value": "aaaa"}
+    writes = []
+
+    def write(sf, out):
+        writes.append(digest["value"])
+        pq.write_table(pa.table({"engine": [digest["value"]]}), f"{out}/part-0.parquet")
+
+    monkeypatch.setattr(qc_battery, "SCORES_ROOT", str(tmp_path))
+    monkeypatch.setattr(qc_battery, "corpus_path_for_sf", lambda sf: None)
+    monkeypatch.setattr("titan_ray.corpus.corpus_fingerprint", lambda sf: "n_turns=600 seed=42")
+    monkeypatch.setattr(qc_battery, "engine_digest", lambda: digest["value"])
+    monkeypatch.setattr(qc_battery, "_write_scored", write)
+
+    out = qc_battery.ensure_scored("/data/sf0.01")
+    assert writes == ["aaaa"]
+    assert qc_battery.ensure_scored("/data/sf0.01") == out and writes == ["aaaa"]
+    digest["value"] = "bbbb"
+    qc_battery.ensure_scored("/data/sf0.01")
+    assert writes == ["aaaa", "bbbb"]
+    assert pq.read_table(f"{out}/part-0.parquet")["engine"].to_pylist() == ["bbbb"]
+    assert open(f"{out}/_SUCCESS").read().strip().endswith("engine=bbbb")
+    qc_battery.ensure_scored("/data/sf0.01")
+    assert writes == ["aaaa", "bbbb"]
+
+
+def test_engine_digest_reads_sidecar_sources(tmp_path, monkeypatch):
+    """engine_digest() covers every file the sidecar runs: a changed byte in
+    any one of them changes the digest."""
+    import os
+    import shutil
+
+    from titan_ray.pipelines import qc_battery
+
+    pkg = os.path.dirname(os.path.dirname(qc_battery.__file__))
+    fake = tmp_path / "titan_ray"
+    for rel in qc_battery.SIDECAR_SOURCES:
+        os.makedirs(fake / os.path.dirname(rel), exist_ok=True)
+        shutil.copy(os.path.join(pkg, rel), fake / rel)
+    os.makedirs(fake / "pipelines")
+    monkeypatch.setattr(qc_battery, "__file__", str(fake / "pipelines" / "qc_battery.py"))
+    base = qc_battery.engine_digest()
+    for rel in qc_battery.SIDECAR_SOURCES:
+        with open(fake / rel, "ab") as f:
+            f.write(b"#")
+        changed = qc_battery.engine_digest()
+        assert changed != base, rel
+        base = changed

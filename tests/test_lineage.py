@@ -245,3 +245,63 @@ def test_empty_partition_commits_and_resumes(ray_session, tmp_path):
 
     s2 = run_qc_resumable(inp, out, QCConfig(), files_per_partition=1)
     assert s2["skipped"] == 3 and s2["rows"] == s1["rows"]
+
+
+KILL_AT = 2
+
+_KILL_SCRIPT = """
+import os, signal, sys
+import ray
+ray.init(address=sys.argv[1], logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from titan_ray.config import QCConfig
+from titan_ray.state import lineage
+inp, out, k = sys.argv[2], sys.argv[3], int(sys.argv[4])
+target, rename = lineage._part_dir(out, k), os.replace
+
+def replace(src, dst):
+    rename(src, dst)
+    if dst == target:  # partition k is in place; its manifest is not written
+        os.kill(os.getpid(), signal.SIGKILL)
+
+os.replace = replace
+lineage.run_qc_resumable(inp, out, QCConfig(dedup=True), files_per_partition=1)
+"""
+
+
+def test_sigkill_between_rename_and_manifest_resumes(eight_parts, tmp_path):
+    """A driver SIGKILLed after partition k's rename and before its manifest
+    leaves part-k without a manifest; a resumed run rebuilds part-k, skips
+    the committed prefix, and its output equals an uninterrupted run's."""
+    import signal
+    import subprocess
+    import sys
+
+    import ray
+
+    from tools.check_contract import value_hash
+
+    inp, clean = eight_parts
+    out = str(tmp_path / "out")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [repo, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILL_SCRIPT, ray.get_runtime_context().gcs_address, inp, out,
+         str(KILL_AT)],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=900,
+    )
+    assert proc.returncode == -signal.SIGKILL, proc.stderr[-2000:]
+    killed = os.path.join(out, f"part-{KILL_AT:05d}")
+    assert os.path.isdir(killed) and not os.path.exists(manifest_path(out, KILL_AT))
+    assert all(os.path.exists(manifest_path(out, i)) for i in range(KILL_AT))
+    before = set(os.listdir(killed))  # file names carry each write's uuid
+
+    s = run_qc_resumable(inp, out, QCConfig(dedup=True), files_per_partition=1)
+    assert s["skipped"] == KILL_AT and s["partitions"] == N_PARTS
+    assert os.path.exists(manifest_path(out, KILL_AT))
+    after = set(os.listdir(killed))
+    assert after and not before & after  # part-k was rebuilt, not kept
+    assert _manifest(out, KILL_AT)["rows"] == len(_frame([killed]))
+    assert not [d for d in os.listdir(out) if d.endswith(".tmp")]
+    assert value_hash(_frame(_part_dirs(out))) == value_hash(_frame(_part_dirs(clean)))

@@ -291,18 +291,42 @@ def test_dedup_near_join_fallback_identical(ray_session):
     assert key(wide) == key(forced)
 
 
+def _with_null_rank_near_dups(t: pa.Table) -> pa.Table:
+    """Append two near-duplicates (the text plus one word) of rows 40 and
+    80, in the same conversation and turn: the first copy has a null ts,
+    the second a null turn_idx, so each pair is ranked by a null field."""
+    df = t.to_pandas()
+    copies = df.iloc[[40, 80]].copy()
+    copies["text"] = copies["text"] + " indeed"
+    copies["ts"] = copies["ts"].astype(object)
+    copies.iloc[0, copies.columns.get_loc("ts")] = None
+    copies["turn_idx"] = copies["turn_idx"].astype(object)
+    copies.iloc[1, copies.columns.get_loc("turn_idx")] = None
+    extra = pa.Table.from_pandas(copies, schema=t.schema, preserve_index=False)
+    return pa.concat_tables([t, extra])
+
+
 def test_dedup_near_engine_oracle_parity(ray_session):
-    """dedup_near=True: full pipeline engine == serial oracle row-for-row."""
+    """dedup_near=True: full pipeline engine == serial oracle row-for-row,
+    also for near-duplicate pairs where one copy has a null ts or a null
+    turn_idx (both rank last): the engine keeps the oracle's survivors."""
     import ray.data as rd
     from titan_ray.pipelines.qc import build_qc_pipeline
 
-    t = generate_corpus(1100, seed=33, mega=False)
+    t = _with_null_rank_near_dups(generate_corpus(1100, seed=33, mega=False))
     cfg = QCConfig(dedup=True, dedup_near=True)
-    ora = oracle_qc(t, cfg).sort_values(KEY, na_position="last").reset_index(drop=True)
+    order = KEY + ["ts", "text"]
+    ora = oracle_qc(t, cfg).sort_values(order, na_position="last").reset_index(drop=True)
     eng = build_qc_pipeline(rd.from_arrow(t).repartition(6), cfg).to_pandas()
-    eng = eng.sort_values(KEY, na_position="last").reset_index(drop=True)
+    eng = eng.sort_values(order, na_position="last").reset_index(drop=True)
     assert len(eng) == len(ora)
     assert (eng["dqcflag"].to_numpy() == ora["dqcflag"].to_numpy()).all()
+    survivors = lambda df: set(zip(df["conv_id"], df["turn_idx"].astype(object), df["text"]))
+    assert survivors(eng) == survivors(ora)
+    # the planted copies rank last in their pairs, so both are dropped
+    planted = t.slice(t.num_rows - 2).to_pandas()["text"]
+    assert not set(planted) & set(eng["text"])
+    assert set(t.to_pandas()["text"].iloc[[40, 80]]) <= set(eng["text"])
 
 
 def test_shared_model_refs_parity(ray_session, small_corpus):

@@ -14,7 +14,14 @@ import pyarrow.compute as pc
 
 from . import langid
 from .lm import CharLM, default_lm
-from .strings import char_class_counts, distinct_window_ratio, string_view, word_counts
+from .strings import (
+    _distinct_ratio,
+    char_class_counts,
+    extend_ngram_hash,
+    rolling_ngram_hash,
+    string_view,
+    word_counts,
+)
 
 # English stopwords for the quality score (public common-word list).
 STOPWORDS = (
@@ -33,10 +40,16 @@ def compute_core_features(texts: pa.Array | pa.ChunkedArray, lm: CharLM | None =
     if lm is None:
         lm = default_lm()
 
-    lang, lang_conf = langid.detect(texts)
+    data, offsets, valid = string_view(texts)
+    # one raw-byte rolling hash: langid's 3-grams, extended by one pass to
+    # the repetition feature's 4-grams; both are done (and their hash arrays
+    # freed) before the perplexity allocates its own
+    h3 = rolling_ngram_hash(data, langid.NGRAM)
+    lang, lang_conf = langid._detect_hashed(h3, offsets, valid)
+    rep_ratio = _distinct_ratio(extend_ngram_hash(h3, data, 4), offsets, 4)
+    del h3
     ppl = lm.perplexity(texts)
 
-    data, offsets, valid = string_view(texts)
     n_bytes = (offsets[1:] - offsets[:-1]).astype(np.int64)
     # n_chars = UTF-8 codepoints, not bytes (continuation bytes don't count)
     cont = (data & np.uint8(0xC0)) == np.uint8(0x80)
@@ -45,7 +58,6 @@ def compute_core_features(texts: pa.Array | pa.ChunkedArray, lm: CharLM | None =
     n_chars = (n_bytes - n_cont).astype(np.int32)
 
     n_words = word_counts(data, offsets).astype(np.int32)
-    rep_ratio = distinct_window_ratio(data, offsets, n=4)
     return {
         "lang": lang,
         "lang_conf": lang_conf,

@@ -19,7 +19,6 @@ from ._seed_text import SEED_CORPORA
 from .strings import (
     rolling_ngram_hash,
     multi_arange,
-    segment_sum,
     string_view,
     window_segments,
 )
@@ -124,13 +123,19 @@ def detect(texts) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(texts, (pa.Array, pa.ChunkedArray)):
         texts = pa.array(list(texts), type=pa.string())
     data, offsets, valid = string_view(texts)
+    return _detect_hashed(rolling_ngram_hash(data, NGRAM), offsets, valid)
+
+
+def _detect_hashed(h: np.ndarray, offsets: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """detect() over the raw NGRAM-byte window hashes ``h`` of a string
+    view (offsets, valid): compute_core_features extends the same hashes to
+    the repetition feature's 4-grams."""
     n_rows = len(offsets) - 1
     tab = table()
 
     lang_out = np.full(n_rows, UNKNOWN, dtype=object)
     conf_out = np.zeros(n_rows, dtype=np.float64)
 
-    h = rolling_ngram_hash(data, NGRAM)
     if len(h) == 0:
         return lang_out, conf_out
     starts, ends, counts = window_segments(offsets, NGRAM)

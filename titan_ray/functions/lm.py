@@ -7,6 +7,11 @@ a char 3-gram LM with stupid-backoff to bigrams/unigrams). Deterministic:
 trained at import from the embedded English seed corpus plus the corpus
 template vocabulary — clean templated English scores low, planted gibberish
 scores high (FIXTURES.md §2 ge_range).
+
+Scoring reads the lowered text bytes in a few whole-batch numpy passes: the
+order-2 and order-3 window hashes (each extends the one below by one byte),
+one gather of the trigram tables, backoff gathers only where the trigram is
+unseen, and one float64 cumsum for the per-row sums.
 """
 
 from __future__ import annotations
@@ -15,9 +20,10 @@ import numpy as np
 
 from ._seed_text import SEED_CORPORA
 from .strings import (
-    multi_arange,
+    extend_ngram_hash,
     rolling_ngram_hash,
     segment_sum,
+    straddle_windows,
     string_view,
     window_segments,
 )
@@ -69,71 +75,66 @@ class CharLM:
             c_n > 0,
         )
 
-    def _cond_logprob(self, data: np.ndarray, n: int, tab, h_cache: dict) -> tuple[np.ndarray, np.ndarray]:
-        """(logprob, known) for every length-n window of data; rolling hashes
-        shared across orders via h_cache."""
-        log_n, log_p, c_n = tab
-        size = len(data) - n + 1
-        if size <= 0:
-            return np.empty(0, np.float32), np.empty(0, bool)
-        for k in (n, n - 1):
-            if k not in h_cache:
-                h_cache[k] = (rolling_ngram_hash(data, k) % HASH_BUCKETS).astype(np.int64)
-        h_n = h_cache[n]
-        h_p = h_cache[n - 1][:size]
-        lp = log_n[h_n] - log_p[h_p]
-        known = c_n[h_n]  # c_n is a bool "seen" table
-        return lp, known
-
     def logprobs(self, data: np.ndarray) -> np.ndarray:
         """Per-window log P(c_i | c_{i-2} c_{i-1}) for windows of length ORDER,
-        with stupid backoff where the trigram is unseen."""
+        with stupid backoff where the trigram is unseen.
+
+        The order-3 hashes extend the order-2 ones by one byte, one pass
+        (strings.extend_ngram_hash). The backoff terms, and the order-1 hash
+        of each bigram's prefix, are computed only at the windows whose
+        trigram is unseen."""
         size = len(data) - ORDER + 1
         if size <= 0:
             return np.empty(0, dtype=np.float32)
-        h_cache: dict = {}
-        lp3, known3 = self._cond_logprob(data, 3, self._tri_lp, h_cache)
-        lp2, known2 = self._cond_logprob(data, 2, self._bi_lp, h_cache)
-        lp2 = lp2[ORDER - 2 :][:size]  # align: window i predicts char i+2
-        known2 = known2[ORDER - 2 :][:size]
-        lp1 = self._uni_lp[data[ORDER - 1 :].astype(np.int64)][:size]
-        out = lp3.copy()
-        use2 = ~known3 & known2
-        use1 = ~known3 & ~known2
-        out[use2] = np.float32(np.log(_BACKOFF)) + lp2[use2]
-        out[use1] = np.float32(2 * np.log(_BACKOFF)) + lp1[use1]
+        mask = np.uint64(HASH_BUCKETS - 1)
+        h2 = rolling_ngram_hash(data, 2)
+        h3 = extend_ngram_hash(h2, data, 3)
+        # bucket in place; buckets fit int64, whose gathers beat uint64's
+        b3 = np.bitwise_and(h3, mask, out=h3).view(np.int64)
+        b2 = np.bitwise_and(h2, mask, out=h2).view(np.int64)
+        tri_n, tri_p, tri_seen = self._tri_lp
+        out = tri_n[b3] - tri_p[b2[:size]]
+        unseen = np.flatnonzero(~tri_seen[b3])
+        if len(unseen):
+            # window i's bigram (bytes i+1, i+2) has prefix byte i+1
+            nxt = unseen + 1
+            bi_n, bi_p, bi_seen = self._bi_lp
+            bi = b2[nxt]
+            known2 = bi_seen[bi]
+            lp2 = bi_n[bi] - bi_p[(rolling_ngram_hash(data[nxt], 1) & mask).view(np.int64)]
+            lp1 = self._uni_lp[data[unseen + 2]]
+            out[unseen] = np.where(
+                known2,
+                np.float32(np.log(_BACKOFF)) + lp2,
+                np.float32(2 * np.log(_BACKOFF)) + lp1,
+            )
         return out
 
     def perplexity(self, texts) -> np.ndarray:
-        """Vectorized per-row perplexity over an Arrow string array.
+        """Vectorized per-row perplexity over an Arrow string array (or
+        anything pa-coercible), lowercased with pyarrow's utf8_lower.
 
         Rows shorter than ORDER bytes or null get ppl = 0.0 (scored as
         'unscorable'; the metadata check catches empties upstream).
+        Row sums are one float64 cumsum over all windows, with the ORDER-1
+        windows that cross each row boundary zeroed (x + 0.0 == x, so each
+        sum equals the sum over the row's own windows alone).
         """
         import pyarrow as pa
+        import pyarrow.compute as pc
 
         if not isinstance(texts, (pa.Array, pa.ChunkedArray)):
-            texts = pa.array([t.lower() if t is not None else None for t in texts], type=pa.string())
-            data, offsets, valid = string_view(texts)
-        else:
-            import pyarrow.compute as pc
-
-            lowered = pc.utf8_lower(texts)
-            data, offsets, valid = string_view(lowered)
+            texts = pa.array(list(texts), type=pa.string())
+        data, offsets, valid = string_view(pc.utf8_lower(texts))
         n_rows = len(offsets) - 1
         out = np.zeros(n_rows, dtype=np.float64)
         lp = self.logprobs(data)
         if len(lp) == 0:
             return out
         starts, ends, counts = window_segments(offsets, ORDER)
-        idx = multi_arange(starts, counts)
-        if len(idx) == 0:
-            return out
-        g_ends = np.cumsum(counts)
-        g_starts = g_ends - counts
-        # float32 gather; segment_sum's cumsum upcasts per element (same
-        # math as astype(float64) first, without materializing the 8B copy)
-        sums = segment_sum(lp[idx], g_starts, g_ends)
+        lp[straddle_windows(offsets, ORDER, len(lp))] = 0.0
+        # short trailing rows start past the last window; they sum nothing
+        sums = segment_sum(lp, np.minimum(starts, len(lp)), np.minimum(ends, len(lp)))
         scored = (counts > 0) & valid
         out[scored] = np.exp(-sums[scored] / counts[scored])
         return out

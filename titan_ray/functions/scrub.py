@@ -51,43 +51,48 @@ def rule_class(name: str) -> str:
     return "tox" if name == "toxicity" else "pii"
 
 
+# one regex that matches a text iff some rule does: rows it misses pass
+# every rule of the chain unchanged
+_ANY_RULE = "|".join(f"(?:{pat})" for _name, pat, _repl in SCRUB_RULES)
+
+
 def scrub_counts_arrow(text_col):
     """Vectorized scrub WITH per-rule-class substitution counts:
-    (scrubbed StringArray, n_pii int32, n_tox int32). Counting costs one
-    extra regex pass per rule, so it runs ONLY on rows the replace chain
-    actually changed (typically a few percent): the full column gets the
-    replace passes, then the changed subset is re-walked with
-    count_substring_regex on each rule's pre-substitution text state."""
+    (scrubbed StringArray, n_pii int32, n_tox int32). One
+    match_substring_regex pass of the rules' alternation picks the
+    candidate rows (typically a few percent); a row no rule matches is left
+    unchanged by every replace, as rule k only sees the output of rules
+    before it. The ordered count-and-replace chain runs on the candidates
+    only, and its output is scattered back. A candidate whose chain returns
+    its text unchanged counts 0 substitutions."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    out = text_col
-    for _name, pat, repl in SCRUB_RULES:
-        out = pc.replace_substring_regex(out, pat, repl)
-    if isinstance(out, pa.ChunkedArray):
-        out = out.combine_chunks()
-    n = len(out)
+    if isinstance(text_col, pa.ChunkedArray):
+        text_col = text_col.combine_chunks()
+    n = len(text_col)
     n_pii = np.zeros(n, dtype=np.int32)
     n_tox = np.zeros(n, dtype=np.int32)
-    changed = pc.fill_null(pc.not_equal(out, text_col), False).to_numpy(zero_copy_only=False)
-    idx = np.flatnonzero(changed)
-    if len(idx):
-        cur = (text_col.combine_chunks() if isinstance(text_col, pa.ChunkedArray) else text_col).take(
-            pa.array(idx)
-        )
-        pii_sub = np.zeros(len(idx), dtype=np.int64)
-        tox_sub = np.zeros(len(idx), dtype=np.int64)
-        for name, pat, repl in SCRUB_RULES:
-            cnt = pc.count_substring_regex(cur, pat).to_numpy(zero_copy_only=False)
-            if rule_class(name) == "tox":
-                tox_sub += cnt
-            else:
-                pii_sub += cnt
-            cur = pc.replace_substring_regex(cur, pat, repl)
-        n_pii[idx] = pii_sub.astype(np.int32)
-        n_tox[idx] = tox_sub.astype(np.int32)
-    return out, n_pii, n_tox
+    hit = pc.fill_null(pc.match_substring_regex(text_col, _ANY_RULE), False)
+    idx = np.flatnonzero(hit.to_numpy(zero_copy_only=False))
+    if not len(idx):
+        return text_col, n_pii, n_tox
+    orig = text_col.take(pa.array(idx))
+    cur = orig
+    pii_sub = np.zeros(len(idx), dtype=np.int64)
+    tox_sub = np.zeros(len(idx), dtype=np.int64)
+    for name, pat, repl in SCRUB_RULES:
+        cnt = pc.count_substring_regex(cur, pat).to_numpy(zero_copy_only=False)
+        if rule_class(name) == "tox":
+            tox_sub += cnt
+        else:
+            pii_sub += cnt
+        cur = pc.replace_substring_regex(cur, pat, repl)
+    changed = pc.not_equal(cur, orig).to_numpy(zero_copy_only=False)
+    n_pii[idx] = np.where(changed, pii_sub, 0).astype(np.int32)
+    n_tox[idx] = np.where(changed, tox_sub, 0).astype(np.int32)
+    return pc.replace_with_mask(text_col, hit, cur), n_pii, n_tox
 
 
 class Scrubber:

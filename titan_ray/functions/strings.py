@@ -16,6 +16,7 @@ import pyarrow as pa
 # Polynomial rolling-hash parameters (fixed => deterministic across runs).
 _HASH_MULT = np.uint64(1099511628211)  # FNV-ish multiplier
 _HASH_SEED = np.uint64(1469598103934665603)
+_HASH_SEED_MULT = np.uint64(int(_HASH_SEED) * int(_HASH_MULT) % 2**64)
 
 
 def string_view(arr: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -57,13 +58,54 @@ def string_view(arr: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray
     return data, offsets, valid
 
 
+# RE2's \s, which is [\t\n\f\r ] (not \v, U+0085 or U+00A0 as in Python's re)
+_RE2_SPACE = np.zeros(256, dtype=bool)
+_RE2_SPACE[[9, 10, 12, 13, 32]] = True
+
+
+def collapse_whitespace(arr: pa.Array | pa.ChunkedArray) -> pa.Array:
+    r"""``replace_substring_regex(arr, r"\s+", " ")`` as one byte pass: every
+    run of RE2 whitespace becomes one space. A byte mask is exact on UTF-8,
+    whose multi-byte sequences hold no byte below 0x80. A run never crosses
+    a row, and nulls stay null. Keeps the input's string type."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    data, offsets, valid = string_view(arr)
+    space = _RE2_SPACE[data]
+    # a whitespace byte after a whitespace byte of the same row is dropped
+    drop = np.zeros(len(data), dtype=bool)
+    np.logical_and(space[1:], space[:-1], out=drop[1:])
+    drop[offsets[:-1][offsets[:-1] < len(data)]] = False
+    gone = np.flatnonzero(drop)
+    if len(gone):
+        keep = np.logical_not(drop, out=drop)
+        out, space = data[keep], space[keep]
+    elif (data[space] == 32).all():
+        return arr
+    else:
+        out = data.copy()
+    out[space] = 32
+    new_off = offsets - np.searchsorted(gone, offsets)
+    large = pa.types.is_large_string(arr.type)
+    validity = None
+    if not valid.all():
+        validity = pa.py_buffer(np.packbits(valid, bitorder="little"))
+    return pa.Array.from_buffers(
+        pa.large_string() if large else pa.string(), len(valid),
+        [validity, pa.py_buffer(new_off.astype(np.int64 if large else np.int32)), pa.py_buffer(out)],
+        null_count=int(len(valid) - valid.sum()),
+    )
+
+
 def rolling_ngram_hash(data: np.ndarray, n: int) -> np.ndarray:
     """uint64 hash of every length-n byte window of ``data`` (len = len(data)-n+1)."""
     size = len(data) - n + 1
     if size <= 0:
         return np.empty(0, dtype=np.uint64)
-    h = np.full(size, _HASH_SEED, dtype=np.uint64)
-    for k in range(n):
+    # the first step, seed * mult + byte, starts from the bytes themselves
+    h = data[:size].astype(np.uint64)
+    h += _HASH_SEED_MULT
+    for k in range(1, n):
         np.multiply(h, _HASH_MULT, out=h)
         np.add(h, data[k : k + size], out=h, casting="unsafe")
     return h
@@ -117,36 +159,63 @@ def window_segments(offsets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     return starts, ends, (ends - starts)
 
 
+def extend_ngram_hash(h: np.ndarray, data: np.ndarray, n: int) -> np.ndarray:
+    """The length-n window hashes from the length-(n-1) ones ``h`` in one
+    pass: equal to ``rolling_ngram_hash(data, n)``."""
+    if len(h) != max(len(data) - n + 2, 0):
+        raise ValueError(f"extend_ngram_hash: h is not the {n - 1}-gram hash of data")
+    size = len(data) - n + 1
+    if size <= 0:
+        return np.empty(0, dtype=np.uint64)
+    out = h[:size] * _HASH_MULT
+    np.add(out, data[n - 1 :], out=out, casting="unsafe")
+    return out
+
+
+def straddle_windows(offsets: np.ndarray, n: int, size: int) -> np.ndarray:
+    """Positions in a window array of length ``size`` whose length-n window
+    crosses a row boundary: the n-1 windows that end past each row's last
+    byte."""
+    b = offsets[1:-1, None] - np.arange(1, n, dtype=np.int64)
+    b = b.reshape(-1)
+    return b[(b >= 0) & (b < size)]
+
+
 def distinct_window_ratio(data: np.ndarray, offsets: np.ndarray, n: int = 4) -> np.ndarray:
     """Per-row repetition feature: 1 - distinct_ngrams / total_ngrams.
 
     0.0 => all n-grams distinct (low repetition); -> 1.0 for heavy repetition.
-    Rows shorter than n get 0.0. Fully vectorized via lexsort over
-    (row_id, hash) pairs.
+    Rows shorter than n get 0.0. Fully vectorized via one sort of
+    (row_id, hash) keys.
     """
+    return _distinct_ratio(rolling_ngram_hash(data, n), offsets, n)
+
+
+def _distinct_ratio(h: np.ndarray, offsets: np.ndarray, n: int) -> np.ndarray:
+    """distinct_window_ratio over the precomputed length-n window hashes."""
     n_rows = len(offsets) - 1
     out = np.zeros(n_rows, dtype=np.float64)
-    h = rolling_ngram_hash(data, n)
     if len(h) == 0:
         return out
-    starts, ends, counts = window_segments(offsets, n)
-    total = int(counts.sum())
-    if total == 0:
+    counts = window_segments(offsets, n)[2]
+    if not counts.any():
         return out
-    # Gather only intra-row windows, tagged with their row id; sort ONE
-    # composite uint64 key (row_id << 40 | hash40) instead of a 2-key lexsort
-    # (~4x faster; 40-bit hash collisions within a row are negligible for a
-    # repetition RATIO).
-    idx = multi_arange(starts, counts)
-    row_id = np.repeat(np.arange(n_rows, dtype=np.uint64), counts)
-    comp = (row_id << np.uint64(40)) | (h[idx] & np.uint64((1 << 40) - 1))
+    # Sort ONE composite uint64 key (row_id << 40 | hash40) instead of a
+    # 2-key lexsort (~4x faster; 40-bit hash collisions within a row are
+    # negligible for a repetition RATIO). Every window keeps its place: a
+    # window that crosses a row boundary gets row id n_rows, whose distinct
+    # count lands in a bincount bin that is dropped.
+    row_id = np.repeat(np.arange(n_rows, dtype=np.uint64), np.diff(offsets))[: len(h)]
+    row_id[straddle_windows(offsets, n, len(h))] = n_rows
+    comp = row_id
+    comp <<= np.uint64(40)
+    comp |= h & np.uint64((1 << 40) - 1)
     comp.sort()
     new = np.ones(len(comp), dtype=bool)
-    if len(comp) > 1:
-        new[1:] = comp[1:] != comp[:-1]
-    distinct = np.bincount((comp[new] >> np.uint64(40)).astype(np.int64), minlength=n_rows).astype(np.float64)
+    new[1:] = comp[1:] != comp[:-1]
+    distinct = np.bincount((comp[new] >> np.uint64(40)).astype(np.int64), minlength=n_rows + 1)
     nz = counts > 0
-    out[nz] = 1.0 - distinct[nz] / counts[nz]
+    out[nz] = 1.0 - distinct[:n_rows][nz].astype(np.float64) / counts[nz]
     return out
 
 

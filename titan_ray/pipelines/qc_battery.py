@@ -90,27 +90,60 @@ def scores_dir(sf: float) -> str:
     return os.path.join(SCORES_ROOT, f"sf{sf:g}")
 
 
+# the engine code the scored sidecar runs (read -> dedup -> scorer), relative
+# to the package root; their source bytes key the sidecar's stamp
+SIDECAR_SOURCES = (
+    "stages/dedup.py", "stages/scorer.py", "functions/features.py", "functions/lm.py",
+    "functions/langid.py", "functions/strings.py", "functions/_seed_text.py",
+)
+
+
+def engine_digest() -> str:
+    """sha256 (16 hex digits) of the SIDECAR_SOURCES files' bytes: a change
+    to the dedup or scorer code rewrites the sidecar instead of reusing
+    what an older engine wrote."""
+    import hashlib
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    h = hashlib.sha256()
+    for rel in SIDECAR_SOURCES:
+        with open(os.path.join(root, rel), "rb") as f:
+            h.update(rel.encode() + b"\0" + f.read() + b"\0")
+    return h.hexdigest()[:16]
+
+
 def ensure_scored(sf_dir: str) -> str:
     """Write (once) the scored-corpus parquet for this scale factor: the
-    flagship prefix read -> dedup -> scorer, narrowed to SCORE_COLS."""
-    import ray.data as rd
-
-    from ..stages.dedup import dedup_exact
-    from ..stages.scorer import score_batch, shared_model_refs
-
+    flagship prefix read -> dedup -> scorer, narrowed to SCORE_COLS. The
+    ``_SUCCESS`` stamp names SCORES_VERSION, the scale, the corpus and the
+    engine_digest(), so a change to any of them rewrites the sidecar."""
     from ..corpus import corpus_fingerprint
 
     sf = _sf_of(sf_dir)
     out = scores_dir(sf)
     marker = os.path.join(out, "_SUCCESS")
     corpus_path_for_sf(sf)  # ensure the corpus (and its marker) exists first
-    stamp = f"{SCORES_VERSION} sf={sf:g} corpus=({corpus_fingerprint(sf)})"
+    stamp = (f"{SCORES_VERSION} sf={sf:g} corpus=({corpus_fingerprint(sf)}) "
+             f"engine={engine_digest()}")
     if os.path.exists(marker) and open(marker).read().strip() == stamp:
         return out
     import shutil
 
     shutil.rmtree(out, ignore_errors=True)
     os.makedirs(out, exist_ok=True)
+    _write_scored(sf, out)
+    with open(marker, "w") as f:
+        f.write(stamp + "\n")
+    return out
+
+
+def _write_scored(sf: float, out: str) -> None:
+    """Run read -> dedup -> scorer over the scale's corpus into ``out``."""
+    import ray.data as rd
+
+    from ..stages.dedup import dedup_exact
+    from ..stages.scorer import score_batch, shared_model_refs
+
     cfg = battery_config()
     ds = rd.read_parquet(corpus_path_for_sf(sf))
     ds = dedup_exact(ds, batch_size=cfg.batch_size)
@@ -120,9 +153,6 @@ def ensure_scored(sf_dir: str) -> str:
     )
     ds = ds.map_batches(lambda b: b.select(SCORE_COLS), batch_format="pyarrow")
     ds.write_parquet(out)
-    with open(marker, "w") as f:
-        f.write(stamp + "\n")
-    return out
 
 
 def _battery_result(sf_dir: str, cfg: QCConfig):

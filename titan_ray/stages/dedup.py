@@ -22,25 +22,22 @@ import pyarrow as pa
 from ..config import QCConfig
 from ..exchange import bucket_exchange
 
-NORM_RE = r"\s+"
-
-
-def _normalize(series: pd.Series) -> pd.Series:
-    return series.str.lower().str.replace(NORM_RE, " ", regex=True).str.strip()
-
 
 def _normalize_arrow(texts) -> pd.Series:
-    """Same normalization via pyarrow re2 kernels (C, ~10x the pandas path);
-    verified byte-identical to _normalize for these patterns."""
+    """The dedup normalization of an Arrow string column, as a pandas Series
+    (nulls become ""): pyarrow's utf8_lower, then one byte pass
+    (strings.collapse_whitespace) that collapses each run of RE2 ``\\s``
+    (``[\\t\\n\\f\\r ]``, as DuckDB's ``regexp_replace``) to one space, then
+    pyarrow's utf8_trim_whitespace."""
     import pyarrow.compute as pc
+
+    from ..functions.strings import collapse_whitespace
 
     # some producers (e.g. Ray's polars-backed sort) emit large_string;
     # per-batch data is < 2 GiB so the narrow offsets always fit
     if pa.types.is_large_string(getattr(texts, "type", pa.string())):
         texts = pc.cast(texts, pa.string())
-    out = pc.utf8_trim_whitespace(
-        pc.replace_substring_regex(pc.utf8_lower(texts), NORM_RE, " ")
-    )
+    out = pc.utf8_trim_whitespace(collapse_whitespace(pc.utf8_lower(texts)))
     return out.to_pandas().fillna("")
 
 

@@ -4,9 +4,11 @@ keeps rawvalue and writes the corrected value — here `text` is kept and
 the serial oracle does (oracle/serial.py); consumers select survivors by
 `keep`.
 
-Vectorized via pyarrow re2 (byte-identical to the oracle's Python-re path for
-these patterns — verified on the full corpus; patterns avoid lookarounds and
-backrefs so re2 and re agree).
+Vectorized via pyarrow re2 (functions/scrub.scrub_counts_arrow: one match
+pass over all rows, the ordered rule chain over the matched rows only);
+byte-identical to the oracle's Python-re path for these patterns — verified
+on the full corpus; patterns avoid lookarounds and backrefs so re2 and re
+agree.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ def scrub_batch(batch: pa.Table) -> pa.Table:
     """Stateless: set text_scrubbed, n_scrub_pii, n_scrub_tox from text."""
     out, n_pii, n_tox = scrub_counts_arrow(batch["text"])
     # n_scrub_pii / n_scrub_tox are the vsigma analog (per-row scrub
-    # metadata next to the corrected value, rr_windcorr.r:199-208);
-    # counting only re-walks the changed rows, so the hot path stays
-    # one replace pass per rule for clean text.
+    # metadata next to the corrected value, rr_windcorr.r:199-208); clean
+    # text costs one regex pass (the rules' alternation), and only the rows
+    # it matches run the per-rule count-and-replace chain.
     for name, col in (
         ("text_scrubbed", out),
         ("n_scrub_pii", pa.array(n_pii)),
