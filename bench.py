@@ -4,9 +4,8 @@ Default: run the headline transcript-QC pipeline + operator queries over
 $GRAFT_SF_DIR (default /root/testdata/sf0.1) at num_cpus=$RAY_GRAFT_CPUS
 (default 32) and print ONE JSON line.
 
---scaling: run the headline pipeline twice in FRESH processes at num_cpus=8
-and num_cpus=32 on the same input (the sandbox stand-in for N vs 4N nodes,
-BASELINE.json north_rule) and report both throughputs + efficiency.
+--stages: time each stage pipeline of the flagship plan at two num_cpus
+levels in fresh processes (--stage-run times one stage, $GRAFT_STAGE).
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ def _quiet_init(num_cpus: int) -> None:
 
 
 def run_bench() -> dict:
-    if not os.path.isdir(SF_DIR) and not os.environ.get("GRAFT_HEADLINE_ONLY"):
+    if not os.path.isdir(SF_DIR):
         raise SystemExit(f"GRAFT_SF_DIR does not exist: {SF_DIR}")
     import ray
 
@@ -132,13 +131,12 @@ def run_bench() -> dict:
         timings[name] = round(time.perf_counter() - t, 3)
         return n
 
-    if not os.environ.get("GRAFT_HEADLINE_ONLY"):
-        timed("doc_token_counts", docqc.doc_token_counts)
-        timed("doc_scrub", docqc.doc_scrub)
-        timed("dedup_exact_docs", docqc.dedup_exact_docs)
-        timed("events_hourly", events.events_hourly)
-        timed("events_buddy", events.events_buddy)
-        timed("ann_topk", ann.ann_topk)
+    timed("doc_token_counts", docqc.doc_token_counts)
+    timed("doc_scrub", docqc.doc_scrub)
+    timed("dedup_exact_docs", docqc.dedup_exact_docs)
+    timed("events_hourly", events.events_hourly)
+    timed("events_buddy", events.events_buddy)
+    timed("ann_topk", ann.ann_topk)
 
     result = {
         "metric": "qc_pipeline_sec",
@@ -152,78 +150,6 @@ def run_bench() -> dict:
     }
     ray.shutdown()
     return result
-
-
-def run_scaling() -> dict:
-    # Scaling is measured at a LARGER corpus than the default bench sf so the
-    # per-stage fixed latencies (pool spin-up, shuffle coordination) amortize
-    # — the regime a real N- vs 4N-node cluster operates in (each node holds
-    # >> seconds of work). Same input for both levels.
-    scaling_dir = os.environ.get("GRAFT_SCALING_SF_DIR", "/root/testdata/sf0.4")
-
-    def sub(ncpu: int) -> dict:
-        env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), GRAFT_SF_DIR=scaling_dir,
-                   GRAFT_HEADLINE_ONLY="1")
-        out = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
-                             capture_output=True, text=True, check=True,
-                             cwd=os.path.dirname(os.path.abspath(__file__))).stdout
-        return json.loads(out.strip().splitlines()[-1])
-
-    lo = int(os.environ.get("GRAFT_SCALE_LO", "8"))
-    hi = int(os.environ.get("GRAFT_SCALE_HI", "32"))
-    # GRAFT_SCALE_LEVELS="4,8,16,32" widens the two-point measurement to a
-    # full same-session curve (hi level first, so late-arriving external
-    # load hits the cheap legs), with the no-Ray DRAM probe alongside as the
-    # hardware denominator — this is the command that produced the
-    # BASELINE.md round-5 scaling table.
-    levels_env = os.environ.get("GRAFT_SCALE_LEVELS", "")
-    levels = sorted({int(x) for x in levels_env.split(",") if x} | {lo, hi})
-    probe = {n: _probe_calls_per_sec(n) for n in levels}
-    res = {n: sub(n) for n in sorted(levels, reverse=True)}
-    eff = (res[lo]["value"] / res[hi]["value"]) / (hi / lo)
-    hw_x = round(probe[hi] / probe[lo], 3)
-    out = {
-        "metric": "scaling_efficiency",
-        "value": round(eff, 3),
-        "unit": "ratio",
-        "num_cpus_lo": lo,
-        "num_cpus_hi": hi,
-        "sec_lo": res[lo]["value"],
-        "sec_hi": res[hi]["value"],
-        "turns_per_sec_lo": res[lo]["turns_per_sec"],
-        "turns_per_sec_hi": res[hi]["turns_per_sec"],
-        "sf": res[hi]["sf"],
-        # hardware context: the same-session plain-multiprocessing scorer
-        # probe's lo->hi speedup (the box's own ceiling for this kernel) and
-        # the engine's speedup as a fraction of it
-        "hw_ceiling_x": hw_x,
-        "efficiency_vs_hw": round((res[lo]["value"] / res[hi]["value"]) / hw_x, 3),
-    }
-    if len(levels) > 2:
-        out["curve"] = {
-            str(n): {"sec": res[n]["value"], "turns_per_sec": res[n]["turns_per_sec"],
-                     "runs": res[n]["queries"]["qc_transcripts_runs"],
-                     "probe_calls_per_sec": probe[n]}
-            for n in levels
-        }
-        out["pair_efficiency"] = {
-            f"{a}->{b}": round((res[a]["value"] / res[b]["value"]) / (b / a), 3)
-            for a, b in zip(levels, levels[1:])
-        }
-    return out
-
-
-def _probe_calls_per_sec(n: int) -> float:
-    """Aggregate throughput of the no-Ray scorer-kernel probe at n plain
-    multiprocessing workers (warm run measured)."""
-    import multiprocessing as mp
-
-    with mp.Pool(n) as p:
-        p.map(_probe_work, range(n))  # warm: imports + table training
-        t0 = time.perf_counter()
-        p.map(_probe_work, range(n))
-        wall = time.perf_counter() - t0
-    return round(n * _PROBE_CALLS / wall, 2)
 
 
 STAGES = ("read", "dedup", "scorer", "rowwise", "conv", "scrub", "write")
@@ -279,7 +205,7 @@ def run_stage(stage: str) -> dict:
 def run_stages() -> dict:
     """Per-stage scaling table: every stage-prefix pipeline at lo vs hi
     num_cpus in fresh processes (round-2 verdict item: show WHICH stage
-    bounds the whole-pipeline scaling, with the DRAM probe alongside)."""
+    bounds the whole-pipeline scaling)."""
     lo = int(os.environ.get("GRAFT_SCALE_LO", "8"))
     hi = int(os.environ.get("GRAFT_SCALE_HI", "32"))
     sf_dir = os.environ.get("GRAFT_SCALING_SF_DIR", SF_DIR)
@@ -303,46 +229,8 @@ def run_stages() -> dict:
             "sf_dir": sf_dir, "stages": table}
 
 
-def run_bandwidth_probe() -> dict:
-    """Hardware control experiment: scale the scorer kernel with PLAIN
-    multiprocessing (no Ray) at 1 / lo / hi processes. On a single host,
-    vCPUs share one memory subsystem — this measures the DRAM ceiling that
-    bounds ANY implementation of the bandwidth-bound scorer stage, giving
-    the denominator for hardware-relative scaling efficiency. On a real
-    N- vs 4N-node cluster each node adds bandwidth and this ceiling lifts."""
-    lo = int(os.environ.get("GRAFT_SCALE_LO", "8"))
-    hi = int(os.environ.get("GRAFT_SCALE_HI", "32"))
-    thr1, thr_lo, thr_hi = (_probe_calls_per_sec(n) for n in (1, lo, hi))
-    return {
-        "metric": "bandwidth_ceiling",
-        "value": round(thr_hi / thr_lo, 3),
-        "unit": "x_speedup_lo_to_hi",
-        "calls_per_sec": {"1": round(thr1, 1), str(lo): round(thr_lo, 1), str(hi): round(thr_hi, 1)},
-        "note": "plain multiprocessing, no Ray — the hardware max for the scorer stage",
-    }
-
-
-_PROBE_CALLS = 6
-
-
-def _probe_work(_i):
-    import titan_ray  # noqa: F401  (tune_malloc)
-    from titan_ray.corpus import generate_corpus
-    from titan_ray.functions.features import compute_core_features
-
-    t = generate_corpus(8192, seed=1, mega=False)
-    texts = t["text"].combine_chunks()[:4096]
-    compute_core_features(texts[:100])
-    for _ in range(_PROBE_CALLS):
-        compute_core_features(texts)
-
-
 if __name__ == "__main__":
-    if "--scaling" in sys.argv:
-        print(json.dumps(run_scaling()))
-    elif "--bandwidth-probe" in sys.argv:
-        print(json.dumps(run_bandwidth_probe()))
-    elif "--stages" in sys.argv:
+    if "--stages" in sys.argv:
         print(json.dumps(run_stages()))
     elif "--stage-run" in sys.argv:
         print(json.dumps(run_stage(os.environ.get("GRAFT_STAGE", "read"))))

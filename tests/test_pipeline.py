@@ -234,6 +234,33 @@ def test_dedup_exact_null_ts_matches_oracle(ray_session, blocks):
     )
 
 
+def test_oracle_dedup_whitespace_matches_engine():
+    r"""The serial oracle normalizes as the engine does: it collapses only
+    RE2's whitespace ([\t\n\f\r ]) and trims what utf8_trim_whitespace
+    trims. Copies of a text whose first space is \v, U+0085 or U+00A0 are
+    distinct texts to both, so both keep them."""
+    import pyarrow.compute as pc
+
+    from titan_ray.stages.dedup import add_dedup_bucket, dedup_bucket_arrow
+
+    t = generate_corpus(200, seed=13, mega=False)
+    df = t.to_pandas()
+    copies = df.iloc[[10, 10, 10]].copy()
+    copies["text"] = [copies["text"].iloc[0].replace(" ", sp, 1) for sp in ("\v", "\x85", "\xa0")]
+    copies["turn_idx"] = copies["turn_idx"] + np.array([1000, 1001, 1002], dtype=copies["turn_idx"].dtype)
+    table = pa.concat_tables([t, pa.Table.from_pandas(copies, schema=t.schema, preserve_index=False)])
+
+    ora = oracle_qc(table, QCConfig(dedup=True))
+    eng = dedup_bucket_arrow(add_dedup_bucket(table)).to_pandas()
+    rows = lambda d: sorted(zip(d["conv_id"], d["turn_idx"], d["text"]))
+    assert rows(ora) == rows(eng)
+    assert set(copies["text"]) <= set(ora["text"])
+    # str.strip() trims exactly the code points utf8_trim_whitespace trims
+    cps = [c for c in range(0x10000) if not 0xD800 <= c <= 0xDFFF]
+    trimmed = pc.utf8_trim_whitespace(pa.array(["a" + chr(c) for c in cps])).to_pylist()
+    assert [c for c, x in zip(cps, trimmed) if x == "a"] == [c for c in cps if chr(c).isspace()]
+
+
 def test_dedup_near_drops_near_duplicates(ray_session):
     """Epsilon-tolerance dedup at read (duplicate_check analog): a turn that
     is a near-copy (one changed word) of an earlier turn is dropped; the

@@ -38,6 +38,9 @@ from ..schema import (
 )
 
 UNFLAGGED = -1
+# RE2's \s (as in DuckDB and pyarrow regexes): narrower than Python's \s,
+# which also matches \v, U+0085, U+00A0 and the other Unicode spaces
+_RE2_SPACE_RUN = re.compile(r"[\t\n\f\r ]+")
 
 
 def _doit(cfg: QCConfig, check: str, role) -> int:
@@ -62,7 +65,9 @@ def oracle_qc(table: pa.Table, cfg: QCConfig | None = None) -> pd.DataFrame:
         seen: set[str] = set()
         keep_rows = []
         for i, txt in zip(order.index, order["text"]):
-            norm = re.sub(r"\s+", " ", txt.lower()).strip() if isinstance(txt, str) else ""
+            # the engine's normalization: collapse runs of RE2 \s only,
+            # then trim str.isspace() (what utf8_trim_whitespace trims)
+            norm = _RE2_SPACE_RUN.sub(" ", txt.lower()).strip() if isinstance(txt, str) else ""
             if norm and norm in seen:
                 continue
             seen.add(norm)

@@ -523,9 +523,10 @@ def stopword_sql() -> str:
 # deterministically out of the documents table (doc_id % _EVAL_MOD ==
 # _EVAL_REM) — at real scale it is an external benchmark suite, which is
 # SMALL by construction, so the scale shape is: build the eval n-gram set
-# once, broadcast it with ray.put, and stream the 10^12-row training side
-# through a stateless map_batches with an np.isin membership probe. No
-# shuffle at all — the only cross-node traffic is the one broadcast.
+# once, capture it in the probe UDF (Ray Data ships each UDF to the object
+# store once), and stream the 10^12-row training side through a stateless
+# map_batches with a sorted-array membership probe. No shuffle at all — the
+# only cross-node traffic is the one broadcast.
 DECONTAM_N = 3        # words per gram (real pipelines use 8-13; the synthetic
                       # corpus needs 3 for a non-trivial overlap surface)
 _EVAL_MOD, _EVAL_REM = 100, 7
@@ -588,8 +589,6 @@ def doc_decontaminate(sf_dir: str, n: int = DECONTAM_N):
     """(doc_id, n_contaminated) for every NON-eval document sharing >= 1 word
     n-gram with the eval slice; n_contaminated = count of distinct
     contaminated grams. DuckDB-checkable (decontam_sql)."""
-    import ray
-
     ds = _read(sf_dir, ["doc_id", "text"])
 
     def eval_grams(batch: pa.Table) -> pa.Table:
@@ -615,17 +614,15 @@ def doc_decontaminate(sf_dir: str, n: int = DECONTAM_N):
             "probe assumes a small eval set — shrink the eval selector or "
             "switch to a hash_join on gram"
         )
-    eval_ref = ray.put(eval_unique)
 
     def hits(batch: pa.Table) -> pa.Table:
-        ev_sorted = ray.get(eval_ref)
         did = batch["doc_id"].to_numpy(zero_copy_only=False)
         sel = did % _EVAL_MOD != _EVAL_REM
         did = did[sel]
         texts = (batch["text"].combine_chunks() if isinstance(batch["text"], pa.ChunkedArray)
                  else batch["text"]).filter(pa.array(sel))
         g, rid = _word_gram_hashes(texts, n)
-        if len(g) == 0 or len(ev_sorted) == 0:
+        if len(g) == 0 or len(eval_unique) == 0:
             return pa.table({"doc_id": pa.array(np.empty(0, dtype=did.dtype)),
                              "n_contaminated": pa.array(np.empty(0, dtype=np.int64))})
         order = np.lexsort((g, rid))
@@ -633,8 +630,8 @@ def doc_decontaminate(sf_dir: str, n: int = DECONTAM_N):
         first = np.ones(len(rs), dtype=bool)
         first[1:] = (rs[1:] != rs[:-1]) | (gs[1:] != gs[:-1])
         rs, gs = rs[first], gs[first]           # distinct (row, gram)
-        hit = np.searchsorted(ev_sorted, gs)
-        hit = (hit < len(ev_sorted)) & (ev_sorted[np.minimum(hit, len(ev_sorted) - 1)] == gs)
+        hit = np.searchsorted(eval_unique, gs)
+        hit = (hit < len(eval_unique)) & (eval_unique[np.minimum(hit, len(eval_unique) - 1)] == gs)
         cnt = np.bincount(rs[hit], minlength=len(did))
         m = cnt > 0
         return pa.table({"doc_id": pa.array(did[m]),
@@ -662,7 +659,7 @@ def doc_top_tfidf(sf_dir: str):
 
     Two-pass shape: pass 1 computes document frequency per word with
     per-batch partials (vocabulary-sized groupby, not token-sized — the
-    doc_top_words combiner pattern) and broadcasts the df table via ray.put;
+    doc_top_words combiner pattern) and captures the df table in pass 2's UDF;
     pass 2 streams documents, computes per-doc term frequencies and takes
     the argmax of tf * N / df with ties broken by word ascending. For a
     vocabulary beyond broadcast size swap the broadcast for
@@ -675,7 +672,6 @@ def doc_top_tfidf(sf_dir: str):
     ln() differs from numpy's by 1 ulp on these inputs (measured), which
     would make a log-damped score unverifiable bit-for-bit."""
     import pyarrow.compute as pc
-    import ray
 
     from ..stages.ann import round_half_away
 
@@ -726,7 +722,6 @@ def doc_top_tfidf(sf_dir: str):
         bucket_exchange(ds.map_batches(df_partial, batch_format="pyarrow"), "_b", sum_merge(["word"], ["df"]))
         .to_pandas()  # vocabulary-sized, the documented broadcast bound
     )
-    df_ref = ray.put(df_tbl)
 
     def top(batch: pa.Table) -> pa.Table:
         import pandas as pd
@@ -738,7 +733,7 @@ def doc_top_tfidf(sf_dir: str):
                              "top_word": pa.array([], type=pa.string()),
                              "score": pa.array(np.empty(0, np.float64))})
         g = pd.DataFrame({"doc_id": did[rows], "word": dictionary.take(pa.array(codes)).to_pandas(), "tf": tf})
-        g = g.merge(ray.get(df_ref), on="word", how="left")  # every word exists in df
+        g = g.merge(df_tbl, on="word", how="left")  # every word exists in df
         g["score"] = (g["tf"].to_numpy() * float(n_docs)) / g["df"].to_numpy()
         g = g.sort_values(["doc_id", "score", "word"], ascending=[True, False, True], kind="mergesort")
         g = g.drop_duplicates("doc_id", keep="first")
@@ -1053,14 +1048,13 @@ def doc_lm_fluency(sf_dir: str, max_vocab: int = MAX_LM_VOCAB):
     """(doc_id, fluency_sum, n_bigrams) under a corpus-trained bigram LM.
 
     Pass 1 counts unigrams and bigrams (64-bit word-gram hashes, per-batch
-    np.unique partials -> one vocabulary-sized groupby -> ray.put broadcast;
-    the SQL oracle joins literal gram strings, so a hash collision would
-    surface as a driver-gate mismatch). Pass 2 streams documents and sums
+    np.unique partials -> one vocabulary-sized groupby -> tables captured
+    in the scoring UDF; the SQL oracle joins literal gram strings, so a hash
+    collision would surface as a driver-gate mismatch). Pass 2 streams documents and sums
     floor(LM_SCALE * c2(w_i, w_{i+1}) / c1(w_i)) over bigram positions —
     high = made of common continuations, low = rare/gibberish transitions.
     """
     import pandas as pd
-    import ray
 
     ds = _read(sf_dir, ["doc_id", "text"])
 
@@ -1110,10 +1104,9 @@ def doc_lm_fluency(sf_dir: str, max_vocab: int = MAX_LM_VOCAB):
     # promote to Python int before multiplying: np.int64 * LM_SCALE wraps
     # silently at ~9.2e12 max counts (round-4 advice item 2)
     assert int(tables[2][1].max(initial=0)) * LM_SCALE < 2**63, "LM_SCALE overflow"
-    ref = ray.put(tables)
+    uni, big = tables[1], tables[2]
 
     def score(batch: pa.Table) -> pa.Table:
-        uni, big = (t := ray.get(ref))[1], t[2]
         texts = _texts(batch)
         did = batch["doc_id"].to_numpy(zero_copy_only=False)
         n_rows = len(did)
@@ -2324,8 +2317,6 @@ def doc_length_percentile(sf_dir: str):
     machinery) reduces 10^12 rows to <= max_len buckets; its EXCLUSIVE
     prefix sum IS the rank-1 function, broadcast to a stateless second
     pass. Two tiny aggregates + two streaming passes, zero shuffles."""
-    import ray
-
     ds = _read(sf_dir, ["doc_id", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -2343,15 +2334,11 @@ def doc_length_percentile(sf_dir: str):
     n = int(hist["cnt"].sum())
     lens = hist["len"].to_numpy()
     below = np.concatenate([[0], hist["cnt"].cumsum().to_numpy()[:-1]])  # rank-1
-    ref = ray.put((lens, below, n))
 
     def rank(batch: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        lens_, below_, n_ = _ray.get(ref) if isinstance(ref, _ray.ObjectRef) else ref
         nc = _chars(batch).astype(np.int64)
-        r = below_[np.searchsorted(lens_, nc)]
-        pct = (1000 * r) // max(n_ - 1, 1)
+        r = below[np.searchsorted(lens, nc)]
+        pct = (1000 * r) // max(n - 1, 1)
         return pa.table(
             {
                 "doc_id": batch["doc_id"],
@@ -2921,8 +2908,6 @@ def doc_bloom_probe(sf_dir: str, num_buckets: int = 64):
     positions (<= m rows), one bucket-keyed exchange dedups them, and the
     driver broadcasts ONE packed uint64 array (8 KiB) into a stateless
     streaming probe. Zero data-sized shuffles."""
-    import ray
-
     ds = _read(sf_dir, ["doc_id", "text"])
 
     def build_partial(batch: pa.Table) -> pa.Table:
@@ -2948,12 +2933,8 @@ def doc_bloom_probe(sf_dir: str, num_buckets: int = 64):
     bits = np.zeros(1 << (BLOOM_LOG2_M - 6), dtype=np.uint64)   # packed 2^16 bits
     # bitwise_or.at (not fancy |=): repeated word indices must all land
     np.bitwise_or.at(bits, pos >> 6, np.uint64(1) << (pos.astype(np.uint64) & np.uint64(63)))
-    ref = ray.put(bits)
 
     def probe(batch: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        b = _ray.get(ref) if isinstance(ref, _ray.ObjectRef) else ref
         did = batch["doc_id"].to_numpy(zero_copy_only=False)
         sel = did % _EVAL_MOD != _EVAL_REM
         bt = batch.filter(pa.array(sel))
@@ -2968,7 +2949,7 @@ def doc_bloom_probe(sf_dir: str, num_buckets: int = 64):
             p = _bloom_positions(h_u)
             hit = np.ones(len(h_u), dtype=bool)
             for j in range(BLOOM_K):
-                hit &= (b[p[j] >> 6] >> (p[j].astype(np.uint64) & np.uint64(63))) & np.uint64(1) > 0
+                hit &= (bits[p[j] >> 6] >> (p[j].astype(np.uint64) & np.uint64(63))) & np.uint64(1) > 0
             n_hits = np.bincount(rid_u[hit], minlength=n_rows).astype(np.int64)
         else:
             n_hits = np.zeros(n_rows, dtype=np.int64)
@@ -3302,14 +3283,12 @@ def doc_segment_dedup(sf_dir: str, w: int = SEG_W, num_buckets: int = 64,
     per-batch local min per hash first, so the 64-way hash-bucket exchange
     carries at most one 16-byte entry per distinct segment per batch; a
     per-bucket min yields the winner table. Pass 2: winner table counted —
-    under ``max_broadcast`` it is ray.put ONCE and a stateless map_batches
-    reassembles (text never crosses the wire); above it, the per-segment
+    under ``max_broadcast`` it is captured in the UDF and a stateless
+    map_batches reassembles (text never crosses the wire); above it, the per-segment
     stream probes the winners via stages.joins.hash_join on the hash and
     the kept (doc_id, seg_idx) pairs co-partition with the documents on a
     doc-bucket exchange (text crosses exactly one exchange). Both paths are
     bit-identical (unit-tested, same contract as dedup_clusters)."""
-    import ray
-
     ds = _read(sf_dir, ["doc_id", "text"])
 
     def winner_partial(batch: pa.Table) -> pa.Table:
@@ -3350,10 +3329,9 @@ def doc_segment_dedup(sf_dir: str, w: int = SEG_W, num_buckets: int = 64,
         wh = wtab["h"].to_numpy(dtype=np.int64)
         wk = wtab["wkey"].to_numpy(dtype=np.int64)
         order = np.argsort(wh, kind="stable")
-        ref = ray.put((wh[order], wk[order]))
+        bh, bk = wh[order], wk[order]
 
         def keep_broadcast(g: np.ndarray, composite: np.ndarray) -> np.ndarray:
-            bh, bk = ray.get(ref)
             hv = g.view(np.int64)
             idx = np.searchsorted(bh, hv)
             idx_safe = np.clip(idx, 0, max(len(bh) - 1, 0))
@@ -4002,7 +3980,6 @@ def doc_spearman(sf_dir: str):
     int64 (n < ~2.1M per lang per the assert; beyond that the partials
     need the corpus_checksum two-limb trick)."""
     import pandas as pd
-    import ray
 
     from ..stages.ann import round_half_away
 
@@ -4046,12 +4023,8 @@ def doc_spearman(sf_dir: str):
         lut[(int(kind), lang)] = (vals, below)
         max_n = max(max_n, int(g["cnt"].sum()))
     assert max_n ** 3 < 2**63, "spearman rank-moment overflow (two-limb partials needed)"
-    ref = ray.put(lut)
 
     def moments(batch: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        lut_ = _ray.get(ref) if isinstance(ref, _ray.ObjectRef) else ref
         lang = batch["lang"].to_pandas().to_numpy(dtype=object)
         x = _chars(batch).astype(np.int64)
         y = token_count(batch["text"].combine_chunks()).astype(np.int64)
@@ -4059,8 +4032,8 @@ def doc_spearman(sf_dir: str):
         rows = {"lang": [], "n": [], "sx": [], "sy": [], "sxx": [], "syy": [], "sxy": []}
         for li, lv in enumerate(uniq):          # |langs|-sized loop, not row-sized
             m = codes == li
-            vx, bx = lut_[(0, lv)]
-            vy, by = lut_[(1, lv)]
+            vx, bx = lut[(0, lv)]
+            vy, by = lut[(1, lv)]
             rx = bx[np.searchsorted(vx, x[m])] + 1   # min-rank == SQL rank()
             ry = by[np.searchsorted(vy, y[m])] + 1
             rows["lang"].append(lv)
@@ -4610,7 +4583,6 @@ def doc_percent_rank(sf_dir: str):
     a stateless vectorized searchsorted. min_rank(v) = 1 + #smaller; the
     floor division is exact integers end to end."""
     import pandas as pd
-    import ray
 
     ds = _read(sf_dir, ["doc_id", "lang", "n_chars"])
 
@@ -4634,15 +4606,13 @@ def doc_percent_rank(sf_dir: str):
         # smaller[i] = #values strictly below v_i; n = partition size
         cdf[lang] = (g["v"].to_numpy(dtype=np.int64),
                      np.concatenate([[0], np.cumsum(c)[:-1]]), int(c.sum()))
-    ref = ray.put(cdf)
 
     def score(batch: pa.Table) -> pa.Table:
-        table = ray.get(ref)
         langs = np.asarray(batch["lang"].to_pandas(), dtype=object)
         v = batch["n_chars"].to_numpy(zero_copy_only=False)
         pr = np.zeros(len(v), dtype=np.int64)
         for lang in np.unique(langs):
-            vals, smaller, n = table[lang]
+            vals, smaller, n = cdf[lang]
             m = langs == lang
             if n <= 1:
                 continue
@@ -5173,7 +5143,7 @@ def doc_set_cover(sf_dir: str, k: int = SETCOVER_K, n: int = DECONTAM_N):
     Scale shape: k corpus passes (the BPE-trainer precedent). Per pass,
     each batch computes per-doc distinct gram hashes (a doc is ONE row, so
     per-doc totals are batch-local), masks the broadcast covered set
-    (sorted int64 array, ray.put once per round, bounded by
+    (sorted int64 array, bound into each round's UDF, bounded by
     MAX_COVERED_GRAMS = k x grams-per-doc), and emits its LOCAL top-1 —
     the driver folds <= num_blocks (doc_id, gain) rows. The winner's gram
     set comes from ONE predicate-pushdown parquet read of that doc_id.
@@ -5182,7 +5152,6 @@ def doc_set_cover(sf_dir: str, k: int = SETCOVER_K, n: int = DECONTAM_N):
     newly-covered` assert doubles as an in-engine collision detector."""
     import pandas as pd
     import pyarrow.parquet as pq_mod
-    import ray
 
     ds = _read(sf_dir, ["doc_id", "text"])
     covered = np.empty(0, dtype=np.int64)
@@ -5196,9 +5165,8 @@ def doc_set_cover(sf_dir: str, k: int = SETCOVER_K, n: int = DECONTAM_N):
         assert len(covered) <= MAX_COVERED_GRAMS, (
             f"doc_set_cover: covered set {len(covered)} exceeds the broadcast "
             f"bound {MAX_COVERED_GRAMS}; lower k or partition the universe")
-        cov_ref = ray.put(covered)
 
-        def top1(batch: pa.Table, _ref=cov_ref) -> pa.Table:
+        def top1(batch: pa.Table, cov=covered) -> pa.Table:
             empty = pa.table({"doc_id": pa.array([], type=pa.int64()),
                               "gain": pa.array([], type=pa.int64())})
             if batch.num_rows == 0:
@@ -5209,7 +5177,6 @@ def doc_set_cover(sf_dir: str, k: int = SETCOVER_K, n: int = DECONTAM_N):
             if len(g) == 0:
                 return empty
             pr = np.unique(np.stack([rid, g.view(np.int64)]), axis=1)
-            cov = ray.get(_ref)
             keep = ~np.isin(pr[1], cov)
             cnt = np.bincount(pr[0][keep].astype(np.intp), minlength=batch.num_rows)
             if not cnt.any():
@@ -5505,8 +5472,6 @@ def _pack_tok_stream(narrow, capacity: int):
     """Next-fit packing of a (doc_id, tok) Dataset (the function-tabulation
     scan; see doc_pack_bins). Shared by doc_pack_bins and the pretrain
     corpus-build composition."""
-    import ray
-
     snarrow = narrow.sort("doc_id").materialize()
     C = capacity
 
@@ -5538,7 +5503,6 @@ def _pack_tok_stream(narrow, capacity: int):
         idx = min(f, C)
         b += int(row["nb"][idx])
         f = int(row["g"][idx])
-    ref = ray.put(state)
 
     def assign(batch: pa.Table) -> pa.Table:
         empty = pa.table({"doc_id": pa.array([], type=pa.int64()),
@@ -5547,10 +5511,9 @@ def _pack_tok_stream(narrow, capacity: int):
                           "bin_offset": pa.array([], type=pa.int64())})
         if batch.num_rows == 0:
             return empty
-        st = ray.get(ref)
         did = batch["doc_id"].to_numpy(zero_copy_only=False)
         t = batch["tok"].to_numpy(zero_copy_only=False).astype(np.int64)
-        f0, b0 = st[int(did[0])]
+        f0, b0 = state[int(did[0])]
         n = len(t)
         prefix = np.cumsum(t)
         out_bin = np.empty(n, dtype=np.int64)
@@ -5631,7 +5594,6 @@ def doc_pretrain_build(sf_dir: str, capacity: int = PACK_CAPACITY,
     import logging
 
     import pandas as pd
-    import ray
 
     from ..stages.dedup import _hash2, _normalize_arrow
 
@@ -5654,7 +5616,6 @@ def doc_pretrain_build(sf_dir: str, capacity: int = PACK_CAPACITY,
         raise ValueError(
             f"doc_pretrain_build: eval slice produced {len(eval_unique)} unique "
             f"grams > MAX_EVAL_GRAMS={MAX_EVAL_GRAMS}")
-    eval_ref = ray.put(eval_unique)
 
     # --- stage A: row-local gates (gopher keep, non-eval, train split) ---
     def gates(batch: pa.Table) -> pa.Table:
@@ -5696,29 +5657,26 @@ def doc_pretrain_build(sf_dir: str, capacity: int = PACK_CAPACITY,
             f"doc_pretrain_build: dup map {len(dups)} rows > "
             f"{MAX_BUILD_DUP_MAP}; stage B needs a full-row hash-bucket "
             "shuffle like stages.dedup.dedup_exact instead of a broadcast dup map")
-    dup_ref = ray.put(dups)
 
     # --- stages B-drop + C (decontam) fused: one row-local pass ---
     def drop_and_probe(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return pa.table({"doc_id": pa.array([], type=pa.int64()),
                              "tok": pa.array([], type=pa.int64())})
-        dmap = ray.get(dup_ref)
         texts = batch["text"].combine_chunks() if isinstance(batch["text"], pa.ChunkedArray) else batch["text"]
         did = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(dmap):
+        if len(dups):
             h1, h2 = _hash2(_normalize_arrow(texts))
             df = pd.DataFrame({"h1": h1, "h2": h2, "doc_id": did})
-            merged = df.merge(dmap, on=["h1", "h2"], how="left")
+            merged = df.merge(dups, on=["h1", "h2"], how="left")
             keep = (merged["keep_doc"].isna()
                     | (merged["keep_doc"] == merged["doc_id"])).to_numpy()
         else:   # no duplicate group survived the gates (empty map is
             keep = np.ones(batch.num_rows, dtype=bool)  # float-typed)
-        ev_sorted = ray.get(eval_ref)
         g, rid = _word_gram_hashes(texts, n)
-        if len(g) and len(ev_sorted):
-            pos = np.searchsorted(ev_sorted, g)
-            hit = (pos < len(ev_sorted)) & (ev_sorted[np.minimum(pos, len(ev_sorted) - 1)] == g)
+        if len(g) and len(eval_unique):
+            pos = np.searchsorted(eval_unique, g)
+            hit = (pos < len(eval_unique)) & (eval_unique[np.minimum(pos, len(eval_unique) - 1)] == g)
             contaminated = np.zeros(batch.num_rows, dtype=bool)
             np.logical_or.at(contaminated, rid[hit], True)
             keep &= ~contaminated

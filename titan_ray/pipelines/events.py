@@ -116,8 +116,6 @@ def events_isolation(sf_dir: str):
     """Isolation analog: events of users with < ISO_MIN events total
     (reference: isolation.r:25-28). Small-side aggregate broadcast back as a
     filter — no second shuffle of the big table."""
-    import ray
-
     ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_id", "user_id"])
 
     # Per-batch partial counts shrink the exchange to (users x batches)
@@ -140,12 +138,10 @@ def events_isolation(sf_dir: str):
         .to_pandas()["user_id"]
         .to_numpy(dtype=np.int64)
     )
-    lonely_ref = ray.put(lonely_arr)
 
     def filt(batch: pa.Table) -> pa.Table:
-        lone = ray.get(lonely_ref)
         uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        mask = pa.array(np.isin(uid, lone) if len(lone) else np.zeros(len(uid), bool))
+        mask = pa.array(np.isin(uid, lonely_arr) if len(lonely_arr) else np.zeros(len(uid), bool))
         return pa.table({"event_id": batch["event_id"].combine_chunks().filter(mask)})
 
     return ds.map_batches(filt, batch_format="pyarrow")

@@ -108,8 +108,6 @@ def tpch_revenue_by_nation(sf_dir: str, year: int = REVENUE_YEAR):
     broadcast. The custkey side of the second join is pre-aggregated
     per batch (custkey partial revenue sums), so the second shuffle moves
     at most one row per (batch, distinct custkey), not one per lineitem."""
-    import ray
-
     from ..stages.joins import hash_join
 
     line = read_parquet_clean(
@@ -158,14 +156,13 @@ def tpch_revenue_by_nation(sf_dir: str, year: int = REVENUE_YEAR):
     nation = pq.read_table(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
     ).to_pandas().sort_values("n_nationkey")
-    nation_ref = ray.put((nation["n_nationkey"].to_numpy(), nation["n_name"].to_numpy()))
+    nkeys, nnames = nation["n_nationkey"].to_numpy(), nation["n_name"].to_numpy()
 
     cust = read_parquet_clean(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
     )
 
     def cust_prep(batch: pa.Table) -> pa.Table:
-        nkeys, nnames = ray.get(nation_ref)
         nk = batch["c_nationkey"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
@@ -852,8 +849,6 @@ def tpch_small_qty_revenue(sf_dir: str, num_buckets: int = 64,
     """
     import logging
 
-    import ray
-
     line = read_parquet_clean(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_quantity", "l_extendedprice"],
@@ -896,11 +891,10 @@ def tpch_small_qty_revenue(sf_dir: str, num_buckets: int = 64,
         adf = agg_ds.to_pandas()
         pk_s = adf["partkey"].to_numpy(dtype=np.int64)
         order = np.argsort(pk_s, kind="stable")
-        ref = ray.put((pk_s[order], adf["n"].to_numpy(dtype=np.int64)[order],
-                       adf["sq"].to_numpy(dtype=np.int64)[order]))
+        keys, n, sq = (pk_s[order], adf["n"].to_numpy(dtype=np.int64)[order],
+                       adf["sq"].to_numpy(dtype=np.int64)[order])
 
         def gate_stream(batch: pa.Table) -> pa.Table:
-            keys, n, sq = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
             pk = batch["l_partkey"].to_numpy(zero_copy_only=False)
             qty = _cents(batch["l_quantity"])
             price = _cents(batch["l_extendedprice"])

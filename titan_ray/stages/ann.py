@@ -1,8 +1,8 @@
 """Similarity search over an embedding column (`list<float>`).
 
-Baseline: brute-force cosine top-k — the query matrix is broadcast ONCE
-(ray.put / closure capture of a small ndarray), each map_batches task does
-one numpy matmul against its Arrow batch (zero-copy flatten of the list
+Baseline: brute-force cosine top-k — the query vector is captured in the
+UDF (Ray Data puts each UDF in the object store once), each map_batches task
+does one numpy matmul against its Arrow batch (zero-copy flatten of the list
 column), and a global sort+limit reduces the per-batch candidates. Scale
 path: LSH-bucketed variant (random-hyperplane signatures) that only compares
 within matching buckets.
@@ -93,7 +93,6 @@ def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.45):
     side would shuffle; at the driver-table scale the right side IS small, so
     we broadcast the full matrix once and matmul per batch — the documented
     scale path swaps the broadcast for the LSH bucket join above."""
-    import ray
     import ray.data as rd
     import pyarrow.parquet as pq
 
@@ -102,18 +101,16 @@ def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.45):
     all_ids = t["vec_id"].to_numpy()
     norms = np.sqrt(np.einsum("ij,ij->i", all_m, all_m))
     all_n = all_m / np.maximum(norms, 1e-300)[:, None]
-    ref = ray.put((all_ids, all_n))
 
     def pairs(batch: pa.Table) -> pa.Table:
-        ids_r, mat_r = ray.get(ref)
-        m = _matrix(batch["embedding"], dim=mat_r.shape[1])
+        m = _matrix(batch["embedding"], dim=all_n.shape[1])
         bnorm = np.sqrt(np.einsum("ij,ij->i", m, m))
         mn = m / np.maximum(bnorm, 1e-300)[:, None]
         bid = batch["vec_id"].to_numpy(zero_copy_only=False)
-        s = mn @ mat_r.T
+        s = mn @ all_n.T
         s = round_half_away(s, 4)
         ai, bj = np.nonzero(s > threshold)
-        a, b = bid[ai], ids_r[bj]
+        a, b = bid[ai], all_ids[bj]
         keep = a < b
         return pa.table(
             {
@@ -141,12 +138,11 @@ def embedding_mutual_nn(sf_dir: str):
     "nearest" to thousands of points contributes at most one pair.
 
     Scale shape: stage 1 is the brute-force argmax — one matmul per batch
-    against the broadcast normalized matrix (ray.put once; the documented
+    against the normalized matrix captured in the UDF (the documented
     scale path swaps the broadcast for IVF cell blocking exactly as
     ann_topk_ivf does for top-k). Stage 2 is row-local canonicalization
     (lo, hi) + ONE narrow groupby over the n-row NN stream: a pair key
     seen from BOTH directions is mutual. Nothing driver-side."""
-    import ray
     import ray.data as rd
     import pyarrow.parquet as pq
 
@@ -163,18 +159,16 @@ def embedding_mutual_nn(sf_dir: str):
     all_m = all_m[order]
     norms = np.sqrt(np.einsum("ij,ij->i", all_m, all_m))
     all_n = all_m / np.maximum(norms, 1e-300)[:, None]
-    ref = ray.put((all_ids, all_n))
 
     def nn(batch: pa.Table) -> pa.Table:
-        ids_r, mat_r = ray.get(ref)
-        m = _matrix(batch["embedding"], dim=mat_r.shape[1])
+        m = _matrix(batch["embedding"], dim=all_n.shape[1])
         bnorm = np.sqrt(np.einsum("ij,ij->i", m, m))
         mn = m / np.maximum(bnorm, 1e-300)[:, None]
         bid = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        s = round_half_away(mn @ mat_r.T, 4)
-        s[bid[:, None] == ids_r[None, :]] = -2.0  # self (by id, not position)
+        s = round_half_away(mn @ all_n.T, 4)
+        s[bid[:, None] == all_ids[None, :]] = -2.0  # self (by id, not position)
         j = s.argmax(axis=1)                      # first max == smallest vec_id
-        other = ids_r[j]
+        other = all_ids[j]
         sim = s[np.arange(len(bid)), j]
         lo = np.minimum(bid, other)
         hi = np.maximum(bid, other)
@@ -207,7 +201,6 @@ def ann_knn_classify(sf_dir: str, k: int = 10):
     vec_id (argpartition + sort on int64 — no float comparisons), votes
     via one flat bincount per batch. Row-local after the broadcast; no
     exchange at all."""
-    import ray
     import pyarrow.parquet as pq
 
     t = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding", "label"])
@@ -222,27 +215,25 @@ def ann_knn_classify(sf_dir: str, k: int = 10):
     norms = np.sqrt(np.einsum("ij,ij->i", all_m, all_m))
     all_n = all_m / np.maximum(norms, 1e-300)[:, None]
     n_lbl = int(all_lbl.max()) + 1
-    ref = ray.put((all_ids, all_lbl, all_n))
 
     def vote(batch: pa.Table) -> pa.Table:
-        ids_r, lbl_r, mat_r = ray.get(ref)
-        m = _matrix(batch["embedding"], dim=mat_r.shape[1])
+        m = _matrix(batch["embedding"], dim=all_n.shape[1])
         bnorm = np.sqrt(np.einsum("ij,ij->i", m, m))
         mn = m / np.maximum(bnorm, 1e-300)[:, None]
         bid = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        s = round_half_away(mn @ mat_r.T, 4)
+        s = round_half_away(mn @ all_n.T, 4)
         si = np.rint(s * 10_000).astype(np.int64)
-        key = si * np.int64(1 << 32) - ids_r[None, :]     # (sim desc, id asc)
+        key = si * np.int64(1 << 32) - all_ids[None, :]     # (sim desc, id asc)
         # negation-safe sentinel: -int64.min overflows to itself and would
         # float the self row to the TOP of -key — use -(2^62) instead
-        key[bid[:, None] == ids_r[None, :]] = -(np.int64(1) << 62)
+        key[bid[:, None] == all_ids[None, :]] = -(np.int64(1) << 62)
         kk = min(k, key.shape[1] - 1)
         if kk <= 0:   # no other vector to vote: no row, as in the twin
             return pa.table({"vec_id": pa.array([], type=pa.int64()),
                              "pred_label": pa.array([], type=pa.int64()),
                              "n_votes": pa.array([], type=pa.int64())})
         top = np.argpartition(-key, kk - 1, axis=1)[:, :kk]
-        votes = lbl_r[top]
+        votes = all_lbl[top]
         flat = votes + np.arange(len(bid))[:, None] * n_lbl
         cnt = np.bincount(flat.ravel(), minlength=len(bid) * n_lbl).reshape(len(bid), n_lbl)
         pred = cnt.argmax(axis=1)                          # tie -> smaller label
@@ -337,7 +328,6 @@ def ann_topk_ivf(sf_dir: str, k: int = 10, vec_id: int = 0, n_probe: int = 6, n_
     Approximate by construction: recall < 1 when true neighbours live in
     unprobed cells (rows-only driver check + recall-vs-exact pytest; the
     exact baseline `ann_topk` carries the SQL oracle)."""
-    import ray
     import ray.data as rd
 
     cent = build_ivf_centroids(sf_dir, n_cells=n_cells)
@@ -345,12 +335,10 @@ def ann_topk_ivf(sf_dir: str, k: int = 10, vec_id: int = 0, n_probe: int = 6, n_
     qn = float(np.sqrt(q @ q))
     qd = ((cent - q) ** 2).sum(axis=1)
     probe = np.sort(np.argsort(qd)[:n_probe])
-    cent_ref = ray.put(cent)
 
     def sim(batch: pa.Table) -> pa.Table:
-        c = ray.get(cent_ref)
         m = _matrix(batch["embedding"], dim=len(q))
-        mask = np.isin(_assign_cells(m, c), probe)
+        mask = np.isin(_assign_cells(m, cent), probe)
         m = m[mask]
         ids = batch["vec_id"].to_numpy(zero_copy_only=False)[mask]
         norms = np.sqrt(np.einsum("ij,ij->i", m, m))

@@ -67,7 +67,7 @@ def kmeans_fit(ds, k: int = 8, iters: int = 4) -> np.ndarray:
     cent = quantize(np.stack(init.to_numpy()))
 
     for _ in range(iters):
-        c = cent  # bind for closure capture (k x d ints — no ray.put needed)
+        c = cent  # captured in the UDF (k x d ints), which runs before cent is rebound
 
         def partial(batch: pa.Table) -> pa.Table:
             q = quantize(_batch_embeddings(batch))
@@ -748,7 +748,7 @@ def embedding_dbscan(sf_dir: str, eps2: int = DBSCAN_EPS2, min_pts: int = DBSCAN
     no fixed k and discovers arbitrary-shape clusters.
 
     Scale shape: the eps-graph is built exactly like embedding_neardup's
-    exact path — the quantized matrix broadcast once (ray.put), each batch
+    exact path — the quantized matrix captured in the UDF, each batch
     emits its own adjacency rows from one int64 matmul (the documented
     scale path swaps the broadcast for LSH/IVF blocking); per-row core
     decisions are batch-local-final. The edge list is the SMALL side by
@@ -760,7 +760,6 @@ def embedding_dbscan(sf_dir: str, eps2: int = DBSCAN_EPS2, min_pts: int = DBSCAN
     transitive-closure twin hash-matches bit-for-bit."""
     import pandas as pd
     import pyarrow.parquet as pq
-    import ray
 
     from .neardup import MAX_CLUSTER_PAIRS, _clusters_labelprop, _clusters_unionfind
 
@@ -769,20 +768,18 @@ def embedding_dbscan(sf_dir: str, eps2: int = DBSCAN_EPS2, min_pts: int = DBSCAN
     X = quantize(col.flatten().to_numpy(zero_copy_only=False).reshape(len(col), -1))
     all_ids = t["vec_id"].to_numpy()
     rr = np.einsum("ij,ij->i", X, X)
-    ref = ray.put((all_ids, X, rr))
 
     ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
 
     def edges(batch: pa.Table) -> pa.Table:
-        ids_r, xr, rr_ = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
         xb = quantize(_batch_embeddings(batch))
         bid = batch["vec_id"].to_numpy(zero_copy_only=False)
         qq = np.einsum("ij,ij->i", xb, xb)
-        d2 = qq[:, None] + rr_[None, :] - 2 * (xb @ xr.T)
-        m = (d2 <= eps2) & (bid[:, None] != ids_r[None, :])
+        d2 = qq[:, None] + rr[None, :] - 2 * (xb @ X.T)
+        m = (d2 <= eps2) & (bid[:, None] != all_ids[None, :])
         ai, bj = np.nonzero(m)
         return pa.table({"a": pa.array(bid[ai].astype(np.int64)),
-                         "b": pa.array(ids_r[bj].astype(np.int64))})
+                         "b": pa.array(all_ids[bj].astype(np.int64))})
 
     # directed adjacency, each row's own edges — the small side by premise
     edf = ds.map_batches(edges, batch_format="pyarrow").to_pandas()
@@ -808,10 +805,8 @@ def embedding_dbscan(sf_dir: str, eps2: int = DBSCAN_EPS2, min_pts: int = DBSCAN
             lbl[int(v)] = int(l)
     vs = np.sort(np.fromiter(lbl.keys(), dtype=np.int64, count=len(lbl)))
     ls = np.asarray([lbl[int(v)] for v in vs], dtype=np.int64)
-    out_ref = ray.put((vs, ls, core_set))
 
     def label(batch: pa.Table) -> pa.Table:
-        vs_, ls_, core_ = ray.get(out_ref) if isinstance(out_ref, ray.ObjectRef) else out_ref
         ids = batch["vec_id"].to_numpy(zero_copy_only=False)
 
         def lookup(keys: np.ndarray, vals: np.ndarray | None, miss: int) -> tuple[np.ndarray, np.ndarray]:
@@ -823,8 +818,8 @@ def embedding_dbscan(sf_dir: str, eps2: int = DBSCAN_EPS2, min_pts: int = DBSCAN
             out = np.where(hit, vals[pos] if vals is not None else 0, miss)
             return out.astype(np.int64), hit
 
-        lab, _ = lookup(vs_, ls_, -1)
-        _, isc = lookup(core_, None, 0)
+        lab, _ = lookup(vs, ls, -1)
+        _, isc = lookup(core_set, None, 0)
         return pa.table({"vec_id": pa.array(ids.astype(np.int64)),
                          "label": pa.array(lab),
                          "is_core": pa.array(isc)})

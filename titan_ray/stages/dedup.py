@@ -239,8 +239,6 @@ def dedup_near(ds, threshold: float = 0.5, num_buckets: int = 64,
     rows are hashed like dedup_exact's (_norm_and_rank, _hash2)."""
     import logging
 
-    import ray
-
     from .neardup import (
         _bucket_pairs,
         _distinct_shingles,
@@ -304,12 +302,11 @@ def dedup_near(ds, threshold: float = 0.5, num_buckets: int = 64,
             [np.zeros(len(a), dtype=np.int8), np.ones(len(b), dtype=np.int8)]
         )
         order = np.argsort(m_rank, kind="stable")
-        ref = ray.put((m_rank[order], m_a[order], m_b[order], m_side[order]))
+        rs, pa_, pb_, sd = m_rank[order], m_a[order], m_b[order], m_side[order]
 
         def emit(batch: pa.Table) -> pa.Table:
             from ..functions.strings import multi_arange
 
-            rs, pa_, pb_, sd = ray.get(ref)
             rk, doc, sh = row_shingles(batch)
             lo = np.searchsorted(rs, rk)
             hi = np.searchsorted(rs, rk, side="right")
@@ -404,13 +401,12 @@ def dedup_near(ds, threshold: float = 0.5, num_buckets: int = 64,
             "pipeline for crawl-grade duplicate rates", len(drops),
         )
     drop_set = set(drops["rank"]) if len(drops) else set()
-    drop_ref = ray.put(np.asarray(sorted(drop_set), dtype=object))
+    drop_ranks = np.asarray(sorted(drop_set), dtype=object)
 
     def flt(batch: pa.Table) -> pa.Table:
-        d = ray.get(drop_ref)
-        if len(d) == 0:
+        if len(drop_ranks) == 0:
             return batch
         rank = _rank(batch).to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(~np.isin(rank, d)))
+        return batch.filter(pa.array(~np.isin(rank, drop_ranks)))
 
     return ds.map_batches(flt, batch_format="pyarrow")

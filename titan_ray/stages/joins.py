@@ -172,8 +172,8 @@ def hash_join(left, right, on: str, right_cols: tuple[str, ...], num_buckets: in
     groupby shuffle); the per-bucket merge is C-vectorized. Skewed join keys
     concentrate in one bucket — salt upstream or pre-aggregate if a single
     key's rows exceed a bucket's memory. For a SMALL right side do NOT use
-    this: broadcast it (ray.put + lookup inside map_batches) and skip the
-    shuffle entirely.
+    this: capture it in the map_batches UDF, look it up per batch, and skip
+    the shuffle entirely.
 
     Schema discovery calls .schema() on both inputs, which may execute one
     upstream block per side (bounded, build-time only)."""

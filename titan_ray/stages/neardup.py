@@ -502,8 +502,6 @@ def verify_candidate_pairs(sf_dir: str, cand: pd.DataFrame, threshold: float = 0
     per pair it participates in, pairs are co-located by pair-id hash
     bucket, and the intersection is computed per pair with one sorted-array
     merge. No driver-side read of the documents table."""
-    import ray
-
     assert score in ("jaccard", "containment")
     if len(cand) == 0:
         return pd.DataFrame({c: pd.Series([], dtype=np.int64) for c in ("doc_a", "doc_b")}).assign(
@@ -514,14 +512,12 @@ def verify_candidate_pairs(sf_dir: str, cand: pd.DataFrame, threshold: float = 0
     for pid, (a, b) in enumerate(zip(cand["doc_a"], cand["doc_b"])):
         pair_of_doc.setdefault(int(a), []).append(pid)
         pair_of_doc.setdefault(int(b), []).append(pid)
-    ref = ray.put(pair_of_doc)
 
     def emit(batch: pa.Table) -> pa.Table:
-        lookup = ray.get(ref)
         # filter to involved docs BEFORE shingling — the candidate set is
         # typically <1% of docs and shingling is the dominant cost here
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        involved = np.fromiter(lookup.keys(), dtype=np.int64, count=len(lookup))
+        involved = np.fromiter(pair_of_doc.keys(), dtype=np.int64, count=len(pair_of_doc))
         batch = batch.filter(pa.array(np.isin(ids, involved)))
         if batch.num_rows == 0:
             return pa.table(
@@ -537,7 +533,7 @@ def verify_candidate_pairs(sf_dir: str, cand: pd.DataFrame, threshold: float = 0
         out_pid, out_doc, out_sh = [], [], []
         bounds = np.flatnonzero(np.concatenate([[True], doc[1:] != doc[:-1], [True]]))
         for s_, e_ in zip(bounds[:-1], bounds[1:]):
-            pids = lookup.get(int(doc[s_]))
+            pids = pair_of_doc.get(int(doc[s_]))
             if not pids:
                 continue
             for pid in pids:
@@ -686,16 +682,12 @@ def minhash_dedup_docs(sf_dir: str, threshold: float = JACCARD_THRESHOLD):
     """Full near-dup dedup, LSH end to end (round-1 verdict fix):
     minhash/LSH candidates -> exact Jaccard verify ON THE CANDIDATES ONLY
     -> broadcast drop set -> stateless filter (keep the lower doc_id)."""
-    import ray
-
     verified = verified_pairs(sf_dir, threshold)
     drop = np.sort(verified["doc_b"].unique()).astype(np.int64)
-    drop_ref = ray.put(drop)
 
     def keep(batch: pa.Table) -> pa.Table:
-        d = ray.get(drop_ref)
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        mask = ~np.isin(ids, d) if len(d) else np.ones(len(ids), bool)
+        mask = ~np.isin(ids, drop) if len(drop) else np.ones(len(ids), bool)
         return pa.table({"doc_id": batch["doc_id"].combine_chunks().filter(pa.array(mask))})
 
     return _read_docs(sf_dir).map_batches(keep, batch_format="pyarrow")
@@ -1096,8 +1088,6 @@ def neardup_edit_distance(sf_dir: str, num_buckets: int = 64):
     documents table streams — no driver-side read. DuckDB twin:
     levenshtein() over the pair list joined twice to documents (byte ==
     char for this ASCII corpus; a unicode corpus needs a byte-level twin)."""
-    import ray
-
     import pyarrow.parquet as pq
 
     from ..pipelines.docqc import _read
@@ -1115,23 +1105,21 @@ def neardup_edit_distance(sf_dir: str, num_buckets: int = 64):
     for pid, (a, b) in enumerate(zip(cand["doc_a"], cand["doc_b"])):
         side_of[(pid, int(a))] = 0
         side_of[(pid, int(b))] = 1
-    ref = ray.put((pair_of_doc, side_of))
 
     ds = _read(sf_dir, ["doc_id", "text"])
 
     def emit(batch: pa.Table) -> pa.Table:
-        lookup, sides = ray.get(ref)
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        involved = np.fromiter(lookup.keys(), dtype=np.int64, count=len(lookup))
+        involved = np.fromiter(pair_of_doc.keys(), dtype=np.int64, count=len(pair_of_doc))
         batch = batch.filter(pa.array(np.isin(ids, involved)))
         pid_o, doc_o, side_o, text_o = [], [], [], []
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         texts = batch["text"].to_pandas()
         for i, d in enumerate(ids):
-            for pid in lookup.get(int(d), ()):
+            for pid in pair_of_doc.get(int(d), ()):
                 pid_o.append(pid)
                 doc_o.append(int(d))
-                side_o.append(sides[(pid, int(d))])
+                side_o.append(side_of[(pid, int(d))])
                 text_o.append(texts.iloc[i])
         return pa.table(
             {
@@ -1446,8 +1434,6 @@ def doc_setjoin_pairs(sf_dir: str, tau_num: int = SETJOIN_TAU_NUM,
     shared sorted-intersection verify co-located by pair bucket. Worst
     case is genuinely quadratic only inside true near-dup families (the
     answer itself is quadratic there)."""
-    import ray
-
     from ..functions.strings import multi_arange
 
     ds = _read_docs(sf_dir)
@@ -1480,14 +1466,12 @@ def doc_setjoin_pairs(sf_dir: str, tau_num: int = SETJOIN_TAU_NUM,
         order = np.argsort(df_tab["h"].to_numpy())
         vocab_h = df_tab["h"].to_numpy()[order]
         vocab_df = df_tab["df"].to_numpy()[order]
-    h_ref = ray.put(vocab_h)
-    df_ref = ray.put(vocab_df)
 
     # -- pass 2: per-doc df-ordered prefix emission ------------------------
     def prefix_emit(batch: pa.Table) -> pa.Table:
-        vh, vdf = ray.get(h_ref), ray.get(df_ref)
         doc, hs, sz = _distinct_words(batch)
-        dfv = vdf[np.searchsorted(vh, hs)] if len(vh) else np.zeros(len(hs), dtype=np.int64)
+        dfv = (vocab_df[np.searchsorted(vocab_h, hs)] if len(vocab_h)
+               else np.zeros(len(hs), dtype=np.int64))
         # doc-major, then df-ascending, then hash (a fixed total order)
         order = np.lexsort((hs, dfv, doc))
         doc, hs, sz = doc[order], hs[order], sz[order]
@@ -1568,12 +1552,10 @@ def doc_setjoin_pairs(sf_dir: str, tau_num: int = SETJOIN_TAU_NUM,
     for pid, (a, b) in enumerate(zip(cand["doc_a"], cand["doc_b"])):
         pair_of_doc.setdefault(int(a), []).append(pid)
         pair_of_doc.setdefault(int(b), []).append(pid)
-    ref = ray.put(pair_of_doc)
 
     def emit(batch: pa.Table) -> pa.Table:
-        lookup = ray.get(ref)
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        involved = np.fromiter(lookup.keys(), dtype=np.int64, count=len(lookup))
+        involved = np.fromiter(pair_of_doc.keys(), dtype=np.int64, count=len(pair_of_doc))
         batch = batch.filter(pa.array(np.isin(ids, involved)))
         empty = pa.table(
             {"pid": pa.array([], type=pa.int64()), "doc_id": pa.array([], type=pa.int64()),
@@ -1585,7 +1567,7 @@ def doc_setjoin_pairs(sf_dir: str, tau_num: int = SETJOIN_TAU_NUM,
         out_pid, out_doc, out_sh = [], [], []
         bounds = np.flatnonzero(np.concatenate([[True], doc[1:] != doc[:-1], [True]]))
         for s_, e_ in zip(bounds[:-1], bounds[1:]):
-            pids = lookup.get(int(doc[s_]))
+            pids = pair_of_doc.get(int(doc[s_]))
             if not pids:
                 continue
             for pid in pids:
