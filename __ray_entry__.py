@@ -831,39 +831,14 @@ def oracle_sql() -> dict[str, str]:
             "CAST(sum(CAST(round(value*1000) AS BIGINT)) AS BIGINT) AS sum_vm "
             "FROM events GROUP BY user_id, date_trunc('hour', ts)"
         ),
-        "events_buddy": (
-            "WITH w AS ("
-            "  SELECT event_id, user_id,"
-            "    CAST(round(value*1000) AS BIGINT) AS vm,"
-            "    sum(CAST(round(value*1000) AS BIGINT)) OVER win AS sm,"
-            "    count(*) OVER win AS cnt"
-            "  FROM events"
-            "  WINDOW win AS (PARTITION BY user_id ORDER BY ts, event_id "
-            "                 ROWS BETWEEN 3 PRECEDING AND 3 FOLLOWING)"
-            ") SELECT event_id, user_id FROM w "
-            f"WHERE cnt - 1 >= {events.MIN_NEIGH} "
-            f"AND abs(vm*(cnt-1) - (sm - vm)) > {events.DEV_MILLI}*(cnt-1)"
-        ),
+        "events_buddy": events.buddy_sql(),
         "events_extent": (
             "SELECT min(ts) AS ts_min, max(ts) AS ts_max, "
             "CAST(min(CAST(round(value*1000) AS BIGINT)) AS BIGINT) AS vm_min, "
             "CAST(max(CAST(round(value*1000) AS BIGINT)) AS BIGINT) AS vm_max, "
             "count(*) AS n_rows FROM events"
         ),
-        "events_sessions": (
-            "WITH d AS ("
-            "  SELECT user_id, ts, event_id, CAST(round(value*1000) AS BIGINT) AS vm,"
-            "    CASE WHEN ts - lag(ts) OVER (PARTITION BY user_id ORDER BY ts, event_id)"
-            "         > INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS brk"
-            "  FROM events"
-            "), s AS ("
-            "  SELECT user_id, vm,"
-            "    CAST(sum(brk) OVER (PARTITION BY user_id ORDER BY ts, event_id"
-            "                        ROWS UNBOUNDED PRECEDING) AS BIGINT) AS session_id"
-            "  FROM d"
-            ") SELECT user_id, session_id, count(*) AS n_events, "
-            "CAST(sum(vm) AS BIGINT) AS sum_vm FROM s GROUP BY user_id, session_id"
-        ),
+        "events_sessions": events.sessions_sql(),
         "events_asof": (
             "WITH l AS (SELECT event_id, user_id, ts FROM events WHERE event_id % 2 = 1), "
             "r AS (SELECT event_id, user_id, ts, CAST(round(value*1000) AS BIGINT) AS vm "

@@ -271,6 +271,48 @@ def test_no_actor_pool_concurrency():
     assert not _scan(match), sorted(_scan(match))
 
 
+def test_one_word_rule():
+    """No ``split_pattern_regex`` call in titan_ray/ outside ``docqc._words``:
+    every doc operator takes its words from the one tokenizer."""
+    found = _scan(lambda n: _method_call(n, "split_pattern_regex"))
+    assert found <= {("titan_ray/pipelines/docqc.py", "_words")}, sorted(found)
+
+
+def test_one_user_bucket_rule():
+    """No ``bit_wise_and`` call in titan_ray/ outside
+    ``events._user_buckets``: every events exchange takes its bucket, and
+    its power-of-two guard, from the one helper."""
+    found = _scan(lambda n: _method_call(n, "bit_wise_and"))
+    assert found <= {("titan_ray/pipelines/events.py", "_user_buckets")}, sorted(found)
+
+
+@pytest.mark.parametrize("name", ["events_buddy", "events_sessions", "events_pivot",
+                                  "events_topk_users", "events_twap", "events_hourly"])
+def test_user_bucket_count_is_a_power_of_two(name):
+    """A mask over 48 buckets would fill only 16 of them: the operator
+    refuses the count before it reads anything."""
+    from titan_ray.pipelines import events
+
+    with pytest.raises(ValueError, match="power of two"):
+        getattr(events, name)("/nonexistent", num_buckets=48)
+
+
+def test_no_unread_local_import():
+    """No function-local import in titan_ray/ binds a name its function
+    (nested functions included) never reads."""
+    import ast
+
+    def match(fn) -> bool:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return False
+        read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        return any((a.asname or a.name.split(".")[0]) not in read
+                   for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))
+                   for a in n.names)
+
+    assert not _scan(match), sorted(_scan(match))
+
+
 def test_captured_ndarray_arrives_read_only(ray_session):
     """What capture instead of ray.put rests on: Ray Data puts each
     map_batches UDF in the object store, so an ndarray captured in it
@@ -326,6 +368,21 @@ def _layout_cases() -> dict:
                       ("doc_bottomk_per_lang", docqc.bottomk_per_lang_sql()),
                       ("doc_inverted_index", docqc.inverted_index_sql())):
         cases[name] = (lambda op=getattr(docqc, name): op(sf), sql)
+    for name, sql in (("doc_repetition", docqc.repetition_sql()),
+                      ("doc_top_tfidf", docqc.tfidf_sql()),
+                      ("doc_unigram_entropy", docqc.entropy_sql()),
+                      ("doc_pmi_collocations", docqc.pmi_sql()),
+                      ("doc_bm25_topk", docqc.bm25_sql()),
+                      ("doc_simpson_diversity", docqc.simpson_sql()),
+                      ("doc_collocations", docqc.collocations_sql()),
+                      ("doc_segment_dedup", docqc.segment_dedup_sql()),
+                      ("events_sessions", events.sessions_sql()),
+                      ("events_cumsum", events.cumsum_sql()),
+                      ("events_ewma", events.ewma_sql()),
+                      ("events_streaks", events.streaks_sql()),
+                      ("events_window_median", events.window_median_sql()),
+                      ("events_out_of_order", events.out_of_order_sql())):
+        cases[name] = (lambda op=getattr(docqc, name, None) or getattr(events, name): op(sf), sql)
     cases.update({
         "events_funnel": (lambda: events.events_funnel(sf), events.funnel_sql()),
         "events_value_gmd": (lambda: events.events_value_gmd(sf), events.value_gmd_sql()),
@@ -356,7 +413,11 @@ LAYOUT_CASES = ("dedup_exact_docs", "doc_vocab_size", "doc_decontaminate", "doc_
                 "events_asof", "events_range", "tpch_sole_returner", "doc_bpe_merges",
                 "embedding_mutual_nn", "embedding_neardup_lsh", "semantic_dedup",
                 "conv_role_transitions", "minhash_lsh_candidates", "ngram_jaccard_allpairs",
-                "graph_triangles", "dedup_near")
+                "graph_triangles", "dedup_near", "doc_repetition", "doc_top_tfidf",
+                "doc_unigram_entropy", "doc_pmi_collocations", "doc_bm25_topk",
+                "doc_simpson_diversity", "doc_collocations", "doc_segment_dedup",
+                "events_sessions", "events_cumsum", "events_ewma", "events_streaks",
+                "events_window_median", "events_out_of_order")
 
 
 @pytest.fixture(scope="module")

@@ -239,18 +239,9 @@ def doc_repetition(sf_dir: str):
     ds = _read(sf_dir, ["doc_id", "text"])
 
     def rep(batch: pa.Table) -> pa.Table:
-        texts = batch["text"].combine_chunks() if isinstance(batch["text"], pa.ChunkedArray) else batch["text"]
-        n_rows = len(texts)
-        lst = pc.split_pattern_regex(texts, r"\s+")
-        if isinstance(lst, pa.ChunkedArray):
-            lst = lst.combine_chunks()
-        off = np.asarray(lst.offsets, dtype=np.int64)
-        values = lst.values
-        rid = np.repeat(np.arange(n_rows, dtype=np.int64), off[1:] - off[:-1])
-        # split on \s+ leaves "" at row edges; dropping them == '\S+' extraction
-        keep = np.asarray(pc.not_equal(values, "").fill_null(False))
-        codes = np.asarray(pc.dictionary_encode(values).indices, dtype=np.int64)
-        rid, codes = rid[keep], codes[keep]
+        n_rows = batch.num_rows
+        words, rid = _words(batch["text"])
+        codes = np.asarray(pc.dictionary_encode(words).indices, dtype=np.int64)
         n_words = np.bincount(rid, minlength=n_rows).astype(np.int64)
         order = np.lexsort((codes, rid))
         r_s, c_s = rid[order], codes[order]
@@ -380,13 +371,7 @@ def doc_top_words(sf_dir: str, k: int = 20):
     ds = _read(sf_dir, ["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        texts = batch["text"].combine_chunks() if isinstance(batch["text"], pa.ChunkedArray) else batch["text"]
-        lst = pc.split_pattern_regex(texts, r"\s+")
-        if isinstance(lst, pa.ChunkedArray):
-            lst = lst.combine_chunks()
-        values = lst.values
-        keep = pc.not_equal(values, "").fill_null(False)
-        enc = pc.dictionary_encode(values.filter(keep))
+        enc = pc.dictionary_encode(_words(batch["text"])[0])
         counts = np.bincount(
             np.asarray(enc.indices, dtype=np.int64), minlength=len(enc.dictionary)
         )
@@ -475,7 +460,7 @@ def doc_stopword_ratio(sf_dir: str):
     padded substring scan per stopword (pyarrow re2-free count_substring);
     the DuckDB oracle replays it with replace()-difference counting (both
     count NON-OVERLAPPING occurrences left-to-right, so they agree)."""
-    from ..functions.features import STOPWORDS, stopword_ratio
+    from ..functions.features import stopword_ratio
     from ..functions.strings import string_view, word_counts
     from ..stages.ann import round_half_away
 
@@ -539,29 +524,37 @@ _WORD_HASH_MULT = np.uint64(1099511628211)
 _WORD_HASH_SEED = np.uint64(1469598103934665603)
 
 
+def _words(texts) -> tuple[pa.Array, np.ndarray]:
+    """(words, row_id): every word of every row of ``texts`` (a string Array
+    or ChunkedArray), in row order, and the int64 row index of each.
+
+    The one word rule of the doc operators: a word is a maximal run of
+    non-whitespace, with whitespace as RE2's ``\\s`` = ``[\\t\\n\\f\\r ]``
+    (so ``\\v``, U+0085 and U+00A0 are word characters) — the SQL twins'
+    ``regexp_extract_all(text, '\\S+')``. Splitting on ``\\s+`` leaves ""
+    pieces at the row edges and for an empty or all-whitespace row; they are
+    dropped. A null row has no words. ``words`` keeps the input's string
+    type."""
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    lst = pc.split_pattern_regex(texts, r"\s+")
+    off = np.asarray(lst.offsets, dtype=np.int64)
+    rid = np.repeat(np.arange(len(texts), dtype=np.int64), off[1:] - off[:-1])
+    values = lst.values
+    keep = pc.not_equal(values, "").fill_null(False)
+    return values.filter(keep), rid[np.asarray(keep)]
+
+
 def _word_gram_hashes(texts: pa.Array, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(gram_hash uint64, row_id int64) of every word n-gram of every row.
 
-    Words are '\\S+' runs (split + drop-empty == regexp extraction, same as
-    repetition_sql). Each word gets a variable-length FNV hash (vectorized
-    across all words, loop over char position only), then n consecutive word
-    hashes chain into one gram hash. Collision-free in practice (64-bit over
-    vocabulary-sized sets); the SQL oracle joins the literal gram strings, so
-    the driver gate would surface any collision as a mismatch."""
-    import pyarrow.compute as pc
-
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    n_rows = len(texts)
-    lst = pc.split_pattern_regex(texts, r"\s+")
-    if isinstance(lst, pa.ChunkedArray):
-        lst = lst.combine_chunks()
-    off = np.asarray(lst.offsets, dtype=np.int64)
-    values = lst.values
-    rid = np.repeat(np.arange(n_rows, dtype=np.int64), off[1:] - off[:-1])
-    keep = np.asarray(pc.not_equal(values, "").fill_null(False))
-    values = values.filter(pa.array(keep))
-    rid = rid[keep]
+    Words are ``_words``' '\\S+' runs. Each word gets a variable-length FNV
+    hash (vectorized across all words, loop over char position only), then n
+    consecutive word hashes chain into one gram hash. Collision-free in
+    practice (64-bit over vocabulary-sized sets); the SQL oracle joins the
+    literal gram strings, so the driver gate would surface any collision as
+    a mismatch."""
+    values, rid = _words(texts)
     nw = len(rid)
     if nw < n:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
@@ -680,18 +673,9 @@ def doc_top_tfidf(sf_dir: str):
 
     def _doc_word_counts(batch: pa.Table):
         """(doc_idx, word pa.Array, tf) distinct-per-doc word runs."""
-        texts = batch["text"].combine_chunks() if isinstance(batch["text"], pa.ChunkedArray) else batch["text"]
-        n_rows = len(texts)
-        lst = pc.split_pattern_regex(texts, r"\s+")
-        if isinstance(lst, pa.ChunkedArray):
-            lst = lst.combine_chunks()
-        off = np.asarray(lst.offsets, dtype=np.int64)
-        values = lst.values
-        rid = np.repeat(np.arange(n_rows, dtype=np.int64), off[1:] - off[:-1])
-        keep = np.asarray(pc.not_equal(values, "").fill_null(False))
-        enc = pc.dictionary_encode(values.filter(pa.array(keep)))
+        words, rid = _words(batch["text"])
+        enc = pc.dictionary_encode(words)
         codes = np.asarray(enc.indices, dtype=np.int64)
-        rid = rid[keep]
         if len(rid) == 0:
             return np.empty(0, np.int64), enc.dictionary, np.empty(0, np.int64), np.empty(0, np.int64)
         order = np.lexsort((codes, rid))
@@ -968,8 +952,6 @@ def _lm_fluency_joined(ds, cnt_ds, _texts, num_buckets: int = 64):
     row-local zero base rows so 0-bigram docs survive) reassembles exactly
     the broadcast path's rows — both paths bit-identical (integer division,
     order-independent sums; unit: tests/test_docqc_ops.py)."""
-    import pandas as pd
-
     from ..stages.joins import hash_join
 
     def positions(batch: pa.Table) -> pa.Table:
@@ -1054,8 +1036,6 @@ def doc_lm_fluency(sf_dir: str, max_vocab: int = MAX_LM_VOCAB):
     floor(LM_SCALE * c2(w_i, w_{i+1}) / c1(w_i)) over bigram positions —
     high = made of common continuations, low = rare/gibberish transitions.
     """
-    import pandas as pd
-
     ds = _read(sf_dir, ["doc_id", "text"])
 
     def _texts(batch: pa.Table) -> pa.Array:
@@ -1533,17 +1513,9 @@ def doc_unigram_entropy(sf_dir: str):
     ds = _read(sf_dir, ["doc_id", "text"])
 
     def ent(batch: pa.Table) -> pa.Table:
-        texts = batch["text"].combine_chunks() if isinstance(batch["text"], pa.ChunkedArray) else batch["text"]
-        n_rows = len(texts)
-        lst = pc.split_pattern_regex(texts, r"\s+")
-        if isinstance(lst, pa.ChunkedArray):
-            lst = lst.combine_chunks()
-        off = np.asarray(lst.offsets, dtype=np.int64)
-        values = lst.values
-        rid = np.repeat(np.arange(n_rows, dtype=np.int64), off[1:] - off[:-1])
-        keep = np.asarray(pc.not_equal(values, "").fill_null(False))
-        codes = np.asarray(pc.dictionary_encode(values).indices, dtype=np.int64)
-        rid, codes = rid[keep], codes[keep]
+        n_rows = batch.num_rows
+        words, rid = _words(batch["text"])
+        codes = np.asarray(pc.dictionary_encode(words).indices, dtype=np.int64)
         n_words = np.bincount(rid, minlength=n_rows).astype(np.int64)
         s = np.zeros(n_rows, dtype=np.int64)
         if len(rid):
@@ -1624,17 +1596,7 @@ def doc_pmi_collocations(sf_dir: str, k: int = PMI_TOP_K, min_count: int = PMI_M
     ds = _read(sf_dir, ["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        texts = batch["text"].combine_chunks() if isinstance(batch["text"], pa.ChunkedArray) else batch["text"]
-        n_rows = len(texts)
-        lst = pc.split_pattern_regex(texts, r"\s+")
-        if isinstance(lst, pa.ChunkedArray):
-            lst = lst.combine_chunks()
-        off = np.asarray(lst.offsets, dtype=np.int64)
-        values = lst.values
-        rid = np.repeat(np.arange(n_rows, dtype=np.int64), off[1:] - off[:-1])
-        keep = np.asarray(pc.not_equal(values, "").fill_null(False))
-        w = values.filter(pa.array(keep))
-        rid = rid[keep]
+        w, rid = _words(batch["text"])
         out_kind, out_key, out_n = [], [], []
         if len(w):
             enc = pc.dictionary_encode(w)
@@ -1778,17 +1740,9 @@ def doc_bm25_topk(sf_dir: str, query: tuple[str, ...] = BM25_QUERY, k: int = BM2
     ds = _read(sf_dir, ["doc_id", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        texts = batch["text"].combine_chunks() if isinstance(batch["text"], pa.ChunkedArray) else batch["text"]
         did = batch["doc_id"].to_numpy(zero_copy_only=False)
-        n_rows = len(texts)
-        lst = pc.split_pattern_regex(texts, r"\s+")
-        if isinstance(lst, pa.ChunkedArray):
-            lst = lst.combine_chunks()
-        off = np.asarray(lst.offsets, dtype=np.int64)
-        rid = np.repeat(np.arange(n_rows, dtype=np.int64), off[1:] - off[:-1])
-        keep = np.asarray(pc.not_equal(lst.values, "").fill_null(False))
-        w = lst.values.filter(pa.array(keep))
-        rid = rid[keep]
+        n_rows = batch.num_rows
+        w, rid = _words(batch["text"])
         dl = np.bincount(rid, minlength=n_rows).astype(np.int64)
 
         ti = pc.index_in(w, pa.array(list(query)))
@@ -2643,8 +2597,6 @@ def hll_estimate(registers: "pd.DataFrame") -> dict[str, float]:
     table (standard HLL: alpha_m * m^2 / sum 2^-M[j], with the small-range
     linear-counting correction). Driver-side arithmetic over <= n_langs x
     2^p rows — diagnostics, not part of the hash-checked surface."""
-    import pandas as pd  # noqa: F401
-
     m = 1 << HLL_P
     alpha = 0.7213 / (1 + 1.079 / m)
     out: dict[str, float] = {}
@@ -2831,22 +2783,11 @@ def doc_explode_tokens(sf_dir: str):
     alignment. Stateless, shuffle-free, embarrassingly parallel.
 
     DuckDB twin: unnest(regexp_extract_all) + generate_subscripts."""
-    import pyarrow.compute as pc
-
     ds = _read(sf_dir, ["doc_id", "text"])
 
     def explode(batch: pa.Table) -> pa.Table:
-        texts = batch["text"].combine_chunks() if isinstance(batch["text"], pa.ChunkedArray) else batch["text"]
         did = batch["doc_id"].to_numpy(zero_copy_only=False)
-        lst = pc.split_pattern_regex(texts, r"\s+")
-        if isinstance(lst, pa.ChunkedArray):
-            lst = lst.combine_chunks()
-        off = np.asarray(lst.offsets, dtype=np.int64)
-        values = lst.values
-        rid = np.repeat(np.arange(len(texts), dtype=np.int64), off[1:] - off[:-1])
-        keep = np.asarray(pc.not_equal(values, "").fill_null(False))
-        values = values.filter(pa.array(keep))
-        rid = rid[keep]
+        values, rid = _words(batch["text"])
         # 1-based token position within each row, counted over KEPT tokens
         new = np.r_[True, rid[1:] != rid[:-1]] if len(rid) else np.empty(0, dtype=bool)
         starts = np.flatnonzero(new)
@@ -3102,27 +3043,19 @@ def doc_inverted_index(sf_dir: str, min_df: int = INDEX_MIN_DF,
     ds = _read(sf_dir, ["doc_id", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        texts = batch["text"].combine_chunks() if isinstance(batch["text"], pa.ChunkedArray) else batch["text"]
         doc = batch["doc_id"].to_numpy(zero_copy_only=False)
-        lst = pc.split_pattern_regex(texts, r"\s+")
-        if isinstance(lst, pa.ChunkedArray):
-            lst = lst.combine_chunks()
-        off = np.asarray(lst.offsets, dtype=np.int64)
-        values = lst.values
-        rid = np.repeat(np.arange(len(texts), dtype=np.int64), off[1:] - off[:-1])
-        keep = np.asarray(pc.not_equal(values, "").fill_null(False))
-        words = values.filter(pa.array(keep)).to_numpy(zero_copy_only=False)
-        rid = rid[keep]
+        words, rid = _words(batch["text"])
+        words = words.to_numpy(zero_copy_only=False)
         if not len(rid):
             return pa.table({"term": pa.array([], type=pa.string()),
                              "doc_id": pa.array([], type=pa.int64()),
                              "tf": pa.array([], type=pa.int64()),
                              "_b": pa.array([], type=pa.int32())})
         codes, uniq_words = pd.factorize(words)
-        key = codes.astype(np.int64) * len(texts) + rid
+        key = codes.astype(np.int64) * len(doc) + rid
         ukey, tf = np.unique(key, return_counts=True)
-        wi = (ukey // len(texts)).astype(np.int64)
-        di = doc[(ukey % len(texts)).astype(np.int64)]
+        wi = (ukey // len(doc)).astype(np.int64)
+        di = doc[(ukey % len(doc)).astype(np.int64)]
         terms = uniq_words[wi]
         b = (pd.util.hash_array(terms.astype(object)) % num_buckets).astype(np.int32)
         return pa.table(
@@ -3197,20 +3130,8 @@ def _segments_of(texts: pa.Array, w: int):
     collisions, which the driver gate would surface as a hash mismatch
     since the SQL oracle groups by the literal segment string), the row,
     the within-row segment index, length and first-word offset."""
-    import pyarrow.compute as pc
-
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
     n_rows = len(texts)
-    lst = pc.split_pattern_regex(texts, r"\s+")
-    if isinstance(lst, pa.ChunkedArray):
-        lst = lst.combine_chunks()
-    off = np.asarray(lst.offsets, dtype=np.int64)
-    values = lst.values
-    wrid = np.repeat(np.arange(n_rows, dtype=np.int64), off[1:] - off[:-1])
-    keep = np.asarray(pc.not_equal(values, "").fill_null(False))
-    words = values.filter(pa.array(keep))
-    wrid = wrid[keep]
+    words, wrid = _words(texts)
     wcounts = np.bincount(wrid, minlength=n_rows).astype(np.int64)
 
     # per-word FNV (same construction as _word_gram_hashes)
@@ -3587,20 +3508,12 @@ def doc_simpson_diversity(sf_dir: str, num_buckets: int = 64):
     ds = _read(sf_dir, ["lang", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        texts = batch["text"].combine_chunks() if isinstance(batch["text"], pa.ChunkedArray) else batch["text"]
         langs = np.asarray(batch["lang"].to_pandas(), dtype=object)
-        lst = pc.split_pattern_regex(texts, r"\s+")
-        if isinstance(lst, pa.ChunkedArray):
-            lst = lst.combine_chunks()
-        offs = lst.offsets.to_numpy(zero_copy_only=False)
-        row_of = np.repeat(np.arange(len(langs)), np.diff(offs))
-        values = lst.values
-        keep = pc.not_equal(values, "").fill_null(False)
-        km = keep.to_numpy(zero_copy_only=False)
-        enc = pc.dictionary_encode(values.filter(keep))
+        words, rid = _words(batch["text"])
+        enc = pc.dictionary_encode(words)
         widx = np.asarray(enc.indices, dtype=np.int64)
         lu, lcode = np.unique(langs, return_inverse=True)
-        lrow = lcode[row_of[km]]
+        lrow = lcode[rid]
         nv = len(enc.dictionary)
         comb = lrow * nv + widx
         cnt = np.bincount(comb, minlength=len(lu) * nv)
@@ -4377,21 +4290,12 @@ def doc_collocations(sf_dir: str, minsup: int = LIFT_MINSUP,
 
     ds = _read(sf_dir, ["text"])
 
-    def _words(batch: pa.Table):
-        texts = batch["text"]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        lst = pc.split_pattern_regex(texts, r"\s+")
-        if isinstance(lst, pa.ChunkedArray):
-            lst = lst.combine_chunks()
-        off = np.asarray(lst.offsets, dtype=np.int64)
-        rid = np.repeat(np.arange(len(texts), dtype=np.int64), off[1:] - off[:-1])
-        values = lst.values
-        keep = np.asarray(pc.not_equal(values, "").fill_null(False))
-        return np.asarray(values.filter(pa.array(keep)), dtype=object), rid[keep]
+    def obj_words(batch: pa.Table):
+        w, rid = _words(batch["text"])
+        return np.asarray(w, dtype=object), rid
 
     def uni_partial(batch: pa.Table) -> pa.Table:
-        w, _ = _words(batch)
+        w, _ = obj_words(batch)
         u, c = np.unique(w, return_counts=True)
         bk = (pd.util.hash_array(u.astype(object)) % num_buckets).astype(np.int32)
         return pa.table({"wd": pa.array(u, pa.string()),
@@ -4399,7 +4303,7 @@ def doc_collocations(sf_dir: str, minsup: int = LIFT_MINSUP,
                          "_b": pa.array(bk)})
 
     def big_partial(batch: pa.Table) -> pa.Table:
-        w, rid = _words(batch)
+        w, rid = obj_words(batch)
         if len(w) < 2:
             return pa.table({"w1": pa.array([], pa.string()),
                              "w2": pa.array([], pa.string()),
@@ -4686,8 +4590,6 @@ def doc_hull_points(sf_dir: str):
     point is strictly left or collinear-between; vertices = edge
     endpoints, plus single-point languages). Integer cross products
     end to end — exact at any coordinate scale below 2^31."""
-    import pandas as pd
-
     ds = _read(sf_dir, ["lang", "n_chars", "text"])
 
     def local_hull(batch: pa.Table) -> pa.Table:
@@ -5591,8 +5493,6 @@ def doc_pretrain_build(sf_dir: str, capacity: int = PACK_CAPACITY,
     full-row shuffle of stages/dedup.py:dedup_exact); the eval-gram probe
     is the enforced-bound decontaminate broadcast; packing is the
     finite-domain scan. The corpus text crosses the wire ZERO times."""
-    import logging
-
     import pandas as pd
 
     from ..stages.dedup import _hash2, _normalize_arrow

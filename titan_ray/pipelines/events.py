@@ -26,6 +26,50 @@ def _vm(batch: pa.Table) -> np.ndarray:
     return np.floor(np.abs(v) * 1000.0 + 0.5).astype(np.int64) * np.sign(v).astype(np.int64)
 
 
+def _user_buckets(num_buckets: int, key: str = "user_id"):
+    """The bucket key of the events exchanges. Returns ``with_bucket(t)``:
+    ``t`` with ``_b = t[key] & (num_buckets - 1)`` appended as int32.
+
+    ``key`` is user_id, so one user's rows share a bucket (events_rollup
+    alone buckets its hour cells). The mask equals ``key % num_buckets``,
+    for a negative key too, only when num_buckets is a power of two; any
+    other count would silently use fewer buckets than it names, so it is
+    refused here, when the operator is built."""
+    if num_buckets <= 0 or num_buckets & (num_buckets - 1):
+        raise ValueError(f"num_buckets must be a power of two, got {num_buckets}")
+    mask = num_buckets - 1
+
+    def with_bucket(t: pa.Table) -> pa.Table:
+        return t.append_column("_b", pc.cast(pc.bit_wise_and(t[key], mask), pa.int32()))
+
+    return with_bucket
+
+
+def _user_order(t: pa.Table, *by: str) -> tuple[np.ndarray, dict, np.ndarray]:
+    """A reduce kernel's block as user streams: (order, keys, new_user).
+
+    ``order`` is the stable row order of ``t`` by (user_id, *by), so rows
+    equal on every key keep their block order. ``keys`` maps user_id and
+    each name in ``by`` to that column as numpy, in block order; a timestamp
+    column sorts, and is returned, as its int64 microseconds. ``new_user``
+    is in sorted order, True at the first row of each user. The event
+    operators' stream order is (user_id, ts, event_id): event_id breaks
+    same-timestamp ties, as the twins' ``ORDER BY ts, event_id`` does."""
+    names = ("user_id", *by)
+    keys = {}
+    for c in names:
+        col = t[c]
+        if pa.types.is_timestamp(col.type):
+            col = col.cast(pa.int64())
+        keys[c] = col.to_numpy()
+    order = np.lexsort([keys[c] for c in reversed(names)])
+    u = keys["user_id"][order]
+    new_user = np.empty(len(u), dtype=bool)
+    new_user[:1] = True
+    new_user[1:] = u[1:] != u[:-1]
+    return order, keys, new_user
+
+
 def events_hourly(sf_dir: str, num_buckets: int = 64):
     """Tumbling-window aggregate: per (user_id, hour) count + exact milli-sum.
 
@@ -36,20 +80,15 @@ def events_hourly(sf_dir: str, num_buckets: int = 64):
     a user; B distinct keys keep Ray's sort-shuffle a cheap B-way exchange
     instead of a full sort over the raw composite key) merges them with an
     exact int64 sum."""
-    # the bucket is computed with a bit mask, which equals user_id % B only
-    # for power-of-two B (round-4 advice item 3: a non-power-of-two would
-    # silently yield a sparser bucket set than the knob suggests)
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0, \
-        "events_hourly: num_buckets must be a power of two"
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
         hour = pc.floor_temporal(batch["ts"], unit="hour")
         t = pa.table({"user_id": batch["user_id"], "hour": hour, "vm": pa.array(_vm(batch))})
         g = t.group_by(["user_id", "hour"]).aggregate([("vm", "count"), ("vm", "sum")])
-        b = pc.cast(pc.bit_wise_and(g["user_id"], num_buckets - 1), pa.int32())
-        return pa.table({"user_id": g["user_id"], "hour": g["hour"],
-                         "n_events": g["vm_count"], "sum_vm": g["vm_sum"], "_b": b})
+        return with_b(pa.table({"user_id": g["user_id"], "hour": g["hour"],
+                                "n_events": g["vm_count"], "sum_vm": g["vm_sum"]}))
 
     return bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"),
                            "_b", sum_merge(["user_id", "hour"], ["n_events", "sum_vm"]))
@@ -61,39 +100,23 @@ def events_buddy(sf_dir: str, num_buckets: int = 64):
 
     Exact integer test: |vm*(cnt-1) - (sum - vm)| > DEV_MILLI*(cnt-1)
     (reference: buddy.r:145-177 deviation-vs-local-background shape)."""
-    import ray.data as rd
-
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "value"])
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        b = pc.cast(pc.bit_wise_and(batch["user_id"], num_buckets - 1), pa.int32())
-        return pa.table(
-            {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "ts": batch["ts"],
-                "vm": pa.array(_vm(batch)),
-                "_b": b,
-            }
-        )
+        return with_b(pa.table({"event_id": batch["event_id"], "user_id": batch["user_id"],
+                                "ts": batch["ts"], "vm": pa.array(_vm(batch))}))
 
     # Arrow in/out + one lexsort (round-4 verdict minor: no pandas
     # round-trip inside the shuffle stage)
     def per_bucket(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        tsc = t["ts"]
-        if isinstance(tsc, pa.ChunkedArray):
-            tsc = tsc.combine_chunks()
-        ts = tsc.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        vm0 = t["vm"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        uid_s, vm = uid[order], vm0[order]
+        order, k, new_u = _user_order(t, "ts", "event_id")
+        eid, uid = k["event_id"], k["user_id"]
+        vm = t["vm"].to_numpy(zero_copy_only=False)[order]
         n = len(order)
         csum = np.concatenate([[0], np.cumsum(vm)])
         idx = np.arange(n)
         # frame [i-W, i+W] clipped to this user's contiguous row range
-        new_u = np.r_[True, uid_s[1:] != uid_s[:-1]]
         starts = np.flatnonzero(new_u)
         gi = np.cumsum(new_u) - 1
         u_start = starts[gi]
@@ -112,18 +135,34 @@ def events_buddy(sf_dir: str, num_buckets: int = 64):
     return bucket_exchange(ds, "_b", per_bucket)
 
 
+def buddy_sql() -> str:
+    """DuckDB replay of events_buddy: the same +/-WINDOW ROWS frame."""
+    return (
+        "WITH w AS ("
+        "  SELECT event_id, user_id,"
+        "    CAST(round(value*1000) AS BIGINT) AS vm,"
+        "    sum(CAST(round(value*1000) AS BIGINT)) OVER win AS sm,"
+        "    count(*) OVER win AS cnt"
+        "  FROM events"
+        "  WINDOW win AS (PARTITION BY user_id ORDER BY ts, event_id "
+        f"                 ROWS BETWEEN {WINDOW} PRECEDING AND {WINDOW} FOLLOWING)"
+        ") SELECT event_id, user_id FROM w "
+        f"WHERE cnt - 1 >= {MIN_NEIGH} "
+        f"AND abs(vm*(cnt-1) - (sm - vm)) > {DEV_MILLI}*(cnt-1)"
+    )
+
+
 def events_isolation(sf_dir: str):
     """Isolation analog: events of users with < ISO_MIN events total
     (reference: isolation.r:25-28). Small-side aggregate broadcast back as a
     filter — no second shuffle of the big table."""
+    with_b = _user_buckets(64)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_id", "user_id"])
 
     # Per-batch partial counts shrink the exchange to (users x batches)
     # rows; the bucket-keyed merge avoids a full sort over raw user_id.
     def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("user_id").aggregate([("user_id", "count")])
-        b = pc.cast(pc.bit_wise_and(g["user_id"], 63), pa.int32())
-        return g.append_column("_b", b)
+        return with_b(batch.group_by("user_id").aggregate([("user_id", "count")]))
 
     def merge(t: pa.Table) -> pa.Table:
         # emit ONLY the lonely users (n < ISO_MIN) — the driver collect is
@@ -151,8 +190,6 @@ def events_extent(sf_dir: str):
     """Domain-extent aggregate: global min/max over ts and milli-value plus
     row count (reference: read_data_to_check.r:234-249 computes the domain
     extent at read; one-row result, no driver-side scan)."""
-    import pandas as pd
-    import ray.data as rd
     from ray.data.aggregate import Count, Max, Min
 
     ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["ts", "value"])
@@ -180,39 +217,21 @@ def events_sessions(sf_dir: str, num_buckets: int = 64):
     streaming-shaped pattern: partition by key, sort within partition,
     sessionize with vectorized gap cumsum per shuffled block — exact-integer
     sums so the DuckDB window-function oracle matches bit-for-bit."""
-    import ray.data as rd
-
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "value"])
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        b = pc.cast(pc.bit_wise_and(batch["user_id"], num_buckets - 1), pa.int32())
-        return pa.table(
-            {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "ts": batch["ts"],
-                "vm": pa.array(_vm(batch)),
-                "_b": b,
-            }
-        )
+        return with_b(pa.table({"event_id": batch["event_id"], "user_id": batch["user_id"],
+                                "ts": batch["ts"], "vm": pa.array(_vm(batch))}))
 
     # Arrow in/out; sessions are CONTIGUOUS runs after the (user, ts,
     # event) lexsort, so per-session size/sum are reduceat over run starts
     # (round-4 verdict minor: no pandas round-trip inside the shuffle stage)
     def per_bucket(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        uid0 = t["user_id"].to_numpy(zero_copy_only=False)
-        tsc = t["ts"]
-        if isinstance(tsc, pa.ChunkedArray):
-            tsc = tsc.combine_chunks()
-        ts0 = tsc.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        vm0 = t["vm"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts0, uid0))
-        uid, ts, vm = uid0[order], ts0[order], vm0[order]
+        order, k, new_user = _user_order(t, "ts", "event_id")
+        uid, ts = k["user_id"][order], k["ts"][order]
+        vm = t["vm"].to_numpy(zero_copy_only=False)[order]
         n = len(order)
-        new_user = np.empty(n, dtype=bool)
-        new_user[0] = True
-        new_user[1:] = uid[1:] != uid[:-1]
         gap = np.empty(n, dtype=bool)
         gap[0] = False
         gap[1:] = (ts[1:] - ts[:-1]) > SESSION_GAP_US
@@ -237,12 +256,28 @@ def events_sessions(sf_dir: str, num_buckets: int = 64):
     return bucket_exchange(ds, "_b", per_bucket)
 
 
+def sessions_sql() -> str:
+    """DuckDB replay of events_sessions: lag() gap breaks, running sum."""
+    return (
+        "WITH d AS ("
+        "  SELECT user_id, ts, event_id, CAST(round(value*1000) AS BIGINT) AS vm,"
+        "    CASE WHEN ts - lag(ts) OVER (PARTITION BY user_id ORDER BY ts, event_id)"
+        "         > INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS brk"
+        "  FROM events"
+        "), s AS ("
+        "  SELECT user_id, vm,"
+        "    CAST(sum(brk) OVER (PARTITION BY user_id ORDER BY ts, event_id"
+        "                        ROWS UNBOUNDED PRECEDING) AS BIGINT) AS session_id"
+        "  FROM d"
+        ") SELECT user_id, session_id, count(*) AS n_events, "
+        "CAST(sum(vm) AS BIGINT) AS sum_vm FROM s GROUP BY user_id, session_id"
+    )
+
+
 def _events_sides(sf_dir: str):
     """(left, right) = odd / even event_id halves of the events table with an
     integer-microsecond `ts_us` join key (exact comparisons, no float/tz
     hazard)."""
-    import ray.data as rd
-
     def prep(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
@@ -316,23 +351,17 @@ def events_topk_users(sf_dir: str, k: int = TOPK_USERS, num_buckets: int = 64):
     Distributed shape: per-batch Arrow group_by pre-aggregates
     (event_type, user_id) partial counts — the only thing that crosses the
     exchange is the pre-aggregated pair stream, bucketed by
-    hash(user_id) % num_buckets so each bucket merge is bounded; the final
+    user_id & (num_buckets - 1) so each bucket merge is bounded; the final
     per-type top-k reduces bucket winners (≤ k per type per bucket) in one
     tiny driver-side pass over n_types x num_buckets x k rows.
     """
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_type", "user_id"])
 
     def partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by(["event_type", "user_id"]).aggregate([("user_id", "count")])
-        uid = g["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "event_type": g["event_type"],
-                "user_id": g["user_id"],
-                "n": g["user_id_count"].cast(pa.int64()),
-                "_b": pa.array((uid % num_buckets).astype(np.int32)),
-            }
-        )
+        return with_b(pa.table({"event_type": g["event_type"], "user_id": g["user_id"],
+                                "n": g["user_id_count"].cast(pa.int64())}))
 
     def merge_bucket(t: pa.Table) -> pa.Table:
         # sum partials per (type, user), then keep each type's local top-k
@@ -395,32 +424,18 @@ def events_sliding_rate(sf_dir: str, window_us: int = SLIDE_WINDOW_US,
     user's relative timestamps onto disjoint int64 ranges separated by more
     than W, then TWO whole-bucket np.searchsorted calls give every frame
     boundary at once (no per-user Python loop)."""
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet",
                             columns=["event_id", "user_id", "ts"])
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        ts = batch["ts"]
-        if isinstance(ts, pa.ChunkedArray):
-            ts = ts.combine_chunks()
-        return pa.table(
-            {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "ts_us": ts.cast(pa.int64()),
-                "_b": pc.cast(pc.bit_wise_and(batch["user_id"], num_buckets - 1), pa.int32()),
-            }
-        )
+        return with_b(batch.select(["event_id", "user_id", "ts"]))
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        ts = t["ts_us"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ts, uid))
-        eid, uid, ts = eid[order], uid[order], ts[order]
+        order, k, new = _user_order(t, "ts")
+        eid, ts = t["event_id"].to_numpy(zero_copy_only=False)[order], k["ts"][order]
         rel = ts - ts.min()
         # user index 0..n_users-1 in sorted order
-        new = np.r_[True, uid[1:] != uid[:-1]]
         uidx = np.cumsum(new) - 1
         stride = int(rel.max()) + window_us + 1
         # isolation guard: uidx * stride must stay exact in int64 (at this
@@ -472,10 +487,9 @@ def events_funnel(sf_dir: str, stages: tuple[str, ...] = FUNNEL_STAGES,
     conditional groupby-min chain); a user lives in exactly one bucket, so
     per-bucket stage counts are final and the last merge sums
     |stages| x B tiny rows."""
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet",
                             columns=["user_id", "ts", "event_type"])
-    type_idx = {t: i for i, t in enumerate(stages)}
 
     def bucketize(batch: pa.Table) -> pa.Table:
         ti = pc.index_in(batch["event_type"], pa.array(list(stages)))
@@ -484,14 +498,8 @@ def events_funnel(sf_dir: str, stages: tuple[str, ...] = FUNNEL_STAGES,
         ts = b["ts"]
         if isinstance(ts, pa.ChunkedArray):
             ts = ts.combine_chunks()
-        return pa.table(
-            {
-                "user_id": b["user_id"],
-                "ts_us": ts.cast(pa.int64()),
-                "ti": pc.cast(ti.filter(keep), pa.int32()),
-                "_b": pc.cast(pc.bit_wise_and(b["user_id"], num_buckets - 1), pa.int32()),
-            }
-        )
+        return with_b(pa.table({"user_id": b["user_id"], "ts_us": ts.cast(pa.int64()),
+                                "ti": pc.cast(ti.filter(keep), pa.int32())}))
 
     def per_bucket(t: pa.Table) -> pa.Table:
         uid, ts, ti = (t[c].to_numpy() for c in ("user_id", "ts_us", "ti"))
@@ -559,7 +567,7 @@ def events_retention(sf_dir: str, num_buckets: int = 64):
     Scale shape: per-batch distinct (user, week) collapse, ONE user-bucket
     exchange; a user lives in one bucket, so per-bucket (cohort, offset)
     cell counts are final and the merge sums |weeks|^2 x B tiny rows."""
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
     def bucketize(batch: pa.Table) -> pa.Table:
@@ -569,21 +577,14 @@ def events_retention(sf_dir: str, num_buckets: int = 64):
         uid = batch["user_id"].to_numpy(zero_copy_only=False)
         wk = np.asarray(ts.cast(pa.int64())) // WEEK_US
         key = np.unique(np.stack([uid, wk]), axis=1)     # batch-local distinct
-        return pa.table(
-            {
-                "user_id": pa.array(key[0]),
-                "wk": pa.array(key[1]),
-                "_b": pa.array((key[0] & (num_buckets - 1)).astype(np.int32)),
-            }
-        )
+        return with_b(pa.table({"user_id": pa.array(key[0]), "wk": pa.array(key[1])}))
 
     def per_bucket(t: pa.Table) -> pa.Table:
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         wk = t["wk"].to_numpy(zero_copy_only=False)
-        key = np.unique(np.stack([uid, wk]), axis=1)     # cross-batch distinct
+        # cross-batch distinct, already sorted by (user, week)
+        key = np.unique(np.stack([uid, wk]), axis=1)
         uid, wk = key[0], key[1]
-        o = np.lexsort((wk, uid))
-        uid, wk = uid[o], wk[o]
         first = np.r_[True, uid[1:] != uid[:-1]]
         cohort = wk[first][np.cumsum(first) - 1]         # each row's user min-week
         cell = np.stack([cohort, wk - cohort])
@@ -637,10 +638,7 @@ def events_rollup(sf_dir: str, num_buckets: int = 64):
     per-cell sums final; the subtotal and total levels re-aggregate the
     CELL table (n_types x n_hours rows, corpus-size independent) on the
     driver, never the data."""
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
+    with_b = _user_buckets(num_buckets, key="hour")
     ds = read_parquet_clean(f"{sf_dir}/events.parquet",
                             columns=["event_type", "ts", "value"])
 
@@ -658,16 +656,9 @@ def events_rollup(sf_dir: str, num_buckets: int = 64):
             }
         )
         g = t.group_by(["event_type", "hour"]).aggregate([("vm", "sum"), ("vm", "count")])
-        hh = g["hour"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "event_type": g["event_type"],
-                "hour": g["hour"],
-                "value_milli": g["vm_sum"].cast(pa.int64()),
-                "n": g["vm_count"].cast(pa.int64()),
-                "_b": pa.array(pc.bit_wise_and(pa.array(hh), num_buckets - 1).cast(pa.int32())),
-            }
-        )
+        return with_b(pa.table({"event_type": g["event_type"], "hour": g["hour"],
+                                "value_milli": g["vm_sum"].cast(pa.int64()),
+                                "n": g["vm_count"].cast(pa.int64())}))
 
     cells = (
         bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"),
@@ -718,8 +709,6 @@ def events_value_stats(sf_dir: str):
     at vm ~ 1e5 the int64 partial bound is ~1e9 rows per TYPE; above that
     promote the merge to Python bigints driver-side (the per-batch
     partials stay bounded by batch size regardless)."""
-    import pandas as pd
-
     ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -822,7 +811,7 @@ def events_gapfill(sf_dir: str, num_buckets: int = 64):
     reduceat/repeat vector ops, no Python loop, nothing driver-sized.
     Output volume is Σ_user span_u (bounded by users x corpus timespan in
     hours), generated inside the buckets and streamed straight out."""
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -832,16 +821,13 @@ def events_gapfill(sf_dir: str, num_buckets: int = 64):
         hour = ts.cast(pa.int64()).to_numpy(zero_copy_only=False) // 3600_000_000
         t = pa.table({"user_id": batch["user_id"], "hour": pa.array(hour)})
         g = t.group_by(["user_id", "hour"]).aggregate([("hour", "count")])
-        b = pc.cast(pc.bit_wise_and(g["user_id"], num_buckets - 1), pa.int32())
-        return pa.table({"user_id": g["user_id"], "hour": g["hour"],
-                         "n": g["hour_count"].cast(pa.int64()), "_b": b})
+        return with_b(pa.table({"user_id": g["user_id"], "hour": g["hour"],
+                                "n": g["hour_count"].cast(pa.int64())}))
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        h = t["hour"].to_numpy(zero_copy_only=False)
-        n = t["n"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((h, u))
-        u, h, n = u[order], h[order], n[order]
+        order, k, _ = _user_order(t, "hour")
+        u, h = k["user_id"][order], k["hour"][order]
+        n = t["n"].to_numpy(zero_copy_only=False)[order]
         # finalize the per-(user, hour) counts (partials from many batches)
         first = np.concatenate([[True], (u[1:] != u[:-1]) | (h[1:] != h[:-1])])
         idx = np.flatnonzero(first)
@@ -904,9 +890,6 @@ def events_cube(sf_dir: str, num_buckets: int = 64):
     the 7 coarser grouping sets re-aggregate the CELL table (at most
     n_types x 7 x 24 rows, corpus-size independent) on the driver — the
     cube derives from the cells, never from the data."""
-    import pandas as pd
-
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
     ds = read_parquet_clean(f"{sf_dir}/events.parquet",
                             columns=["event_type", "ts", "value"])
 
@@ -1004,6 +987,7 @@ def events_pivot(sf_dir: str, num_buckets: int = 64):
     sized. Output columns are named by the category values themselves
     (DuckDB PIVOT convention), so the twin hash-matches."""
     MAX_PIVOT_COLS = 10_000
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
     def type_partial(batch: pa.Table) -> pa.Table:
@@ -1023,15 +1007,8 @@ def events_pivot(sf_dir: str, num_buckets: int = 64):
 
     def partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by(["user_id", "event_type"]).aggregate([("event_type", "count")])
-        b = pc.cast(pc.bit_wise_and(g["user_id"], num_buckets - 1), pa.int32())
-        return pa.table(
-            {
-                "user_id": g["user_id"],
-                "event_type": g["event_type"],
-                "n": g["event_type_count"].cast(pa.int64()),
-                "_b": b,
-            }
-        )
+        return with_b(pa.table({"user_id": g["user_id"], "event_type": g["event_type"],
+                                "n": g["event_type_count"].cast(pa.int64())}))
 
     def per_bucket(t: pa.Table) -> pa.Table:
         u = t["user_id"].to_numpy(zero_copy_only=False)
@@ -1073,7 +1050,7 @@ def events_user_profile(sf_dir: str, num_buckets: int = 64):
     everything final (distinct type count = per-user distinct keys in the
     bucket). Rows crossing the wire: users x types x batches, corpus-size
     independent per batch."""
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet",
                             columns=["user_id", "event_type", "ts", "value"])
 
@@ -1094,18 +1071,9 @@ def events_user_profile(sf_dir: str, num_buckets: int = 64):
         g = t.group_by(["user_id", "event_type"]).aggregate(
             [("us", "count"), ("us", "min"), ("us", "max"), ("vm", "sum")]
         )
-        b = pc.cast(pc.bit_wise_and(g["user_id"], num_buckets - 1), pa.int32())
-        return pa.table(
-            {
-                "user_id": g["user_id"],
-                "event_type": g["event_type"],
-                "n": g["us_count"].cast(pa.int64()),
-                "mn": g["us_min"],
-                "mx": g["us_max"],
-                "sm": g["vm_sum"].cast(pa.int64()),
-                "_b": b,
-            }
-        )
+        return with_b(pa.table({"user_id": g["user_id"], "event_type": g["event_type"],
+                                "n": g["us_count"].cast(pa.int64()), "mn": g["us_min"],
+                                "mx": g["us_max"], "sm": g["vm_sum"].cast(pa.int64())}))
 
     def per_bucket(t: pa.Table) -> pa.Table:
         # collapse batch partials to (user, type) grain, then to user grain
@@ -1160,42 +1128,26 @@ def events_cumsum(sf_dir: str, num_buckets: int = 64):
     vectorized, no per-user loop. Milli-scaling makes the sum exact int64,
     so any partition order gives the identical result and the window twin
     hash-matches."""
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet",
                             columns=["event_id", "user_id", "ts", "value"])
 
     def bucketize(batch: pa.Table) -> pa.Table:
         vm = np.floor(batch["value"].to_numpy(zero_copy_only=False) * 1000.0).astype(np.int64)
-        b = pc.cast(pc.bit_wise_and(batch["user_id"], num_buckets - 1), pa.int32())
-        return pa.table(
-            {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "ts": batch["ts"],
-                "vm": pa.array(vm),
-                "_b": b,
-            }
-        )
+        return with_b(pa.table({"event_id": batch["event_id"], "user_id": batch["user_id"],
+                                "ts": batch["ts"], "vm": pa.array(vm)}))
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        tsc = t["ts"]
-        if isinstance(tsc, pa.ChunkedArray):
-            tsc = tsc.combine_chunks()
-        ts = tsc.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        vm = t["vm"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        u_s, vm_s = uid[order], vm[order]
+        order, k, new_u = _user_order(t, "ts", "event_id")
+        u_s, vm_s = k["user_id"][order], t["vm"].to_numpy(zero_copy_only=False)[order]
         csum = np.cumsum(vm_s)
-        new_u = np.r_[True, u_s[1:] != u_s[:-1]]
         # running total just BEFORE each user's first row, spread per row
         base = np.where(new_u, csum - vm_s, 0)
         base = base[np.flatnonzero(new_u)][np.cumsum(new_u) - 1]
         cum = csum - base
         return pa.table(
             {
-                "event_id": pa.array(eid[order]),
+                "event_id": pa.array(k["event_id"][order]),
                 "user_id": pa.array(u_s),
                 "cum_milli": pa.array(cum.astype(np.int64)),
             }
@@ -1234,43 +1186,27 @@ def events_out_of_order(sf_dir: str, num_buckets: int = 64):
     by (user, event_id) and a per-user running-max (grouped cummax, C-
     vectorized) — no Python loop, nothing driver-sided. Exact int64
     microsecond arithmetic, so the window twin hash-matches."""
-    import pandas as pd
-
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet",
                             columns=["event_id", "user_id", "ts"])
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        ts = batch["ts"]
-        if isinstance(ts, pa.ChunkedArray):
-            ts = ts.combine_chunks()
-        b = pc.cast(pc.bit_wise_and(batch["user_id"], num_buckets - 1), pa.int32())
-        return pa.table(
-            {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "us": ts.cast(pa.int64()),
-                "_b": b,
-            }
-        )
+        return with_b(batch.select(["event_id", "user_id", "ts"]))
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        us = t["us"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, uid))
-        u_s, us_s = uid[order], us[order]
+        order, k, new_u = _user_order(t, "event_id")
+        eid, u_s = k["event_id"][order], k["user_id"][order]
+        us_s = t["ts"].cast(pa.int64()).to_numpy()[order]
         # running max over PRECEDING rows only: cummax shifted one row down
         # within each user (first arrival has no watermark -> lateness 0)
         cm = pd.Series(us_s).groupby(pd.Series(u_s), sort=False).cummax().to_numpy()
         prev = np.empty_like(cm)
         prev[1:] = cm[:-1]
-        new_u = np.r_[True, u_s[1:] != u_s[:-1]]
         prev[new_u] = us_s[new_u]   # no watermark before the first arrival
         late = np.maximum(prev - us_s, 0)
         return pa.table(
             {
-                "event_id": pa.array(eid[order]),
+                "event_id": pa.array(eid),
                 "user_id": pa.array(u_s),
                 "lateness_us": pa.array(late.astype(np.int64)),
                 "is_late": pa.array(late > 0),
@@ -1409,21 +1345,12 @@ def events_cooccurrence(sf_dir: str, num_buckets: int = 64):
     stream is C(n_types,2) ints per bucket, never user-sized)."""
     from ..functions.strings import multi_arange
 
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0, \
-        "events_cooccurrence: num_buckets must be a power of two"
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet",
                             columns=["user_id", "event_type"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["user_id", "event_type"]).aggregate([])
-        return pa.table(
-            {
-                "user_id": g["user_id"],
-                "event_type": g["event_type"],
-                "_b": pc.cast(pc.bit_wise_and(g["user_id"], num_buckets - 1),
-                              pa.int32()),
-            }
-        )
+        return with_b(batch.group_by(["user_id", "event_type"]).aggregate([]))
 
     def bucket_pairs(t: pa.Table) -> pa.Table:
         # re-distinct across batch partials, then emit each user's sorted
@@ -1497,35 +1424,21 @@ def events_window_distinct(sf_dir: str, window_us: int = SLIDE_WINDOW_US,
     frames include ts-peers regardless of row order, and the boundaries
     are value-based, so the result is well-defined under duplicate
     timestamps with no tiebreaker."""
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet",
                             columns=["event_id", "user_id", "ts", "event_type"])
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        ts = batch["ts"]
-        if isinstance(ts, pa.ChunkedArray):
-            ts = ts.combine_chunks()
-        return pa.table(
-            {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "ts_us": ts.cast(pa.int64()),
-                "event_type": batch["event_type"],
-                "_b": pc.cast(pc.bit_wise_and(batch["user_id"], num_buckets - 1), pa.int32()),
-            }
-        )
+        return with_b(batch.select(["event_id", "user_id", "ts", "event_type"]))
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        ts = t["ts_us"].to_numpy(zero_copy_only=False)
         types, codes = np.unique(
             np.asarray(t["event_type"].to_pandas(), dtype=object),
             return_inverse=True)
-        order = np.lexsort((ts, uid))
-        eid, uid, ts, codes = eid[order], uid[order], ts[order], codes[order]
+        order, k, new = _user_order(t, "ts")
+        eid = t["event_id"].to_numpy(zero_copy_only=False)[order]
+        ts, codes = k["ts"][order], codes[order]
         rel = ts - ts.min()
-        new = np.r_[True, uid[1:] != uid[:-1]]
         uidx = np.cumsum(new) - 1
         stride = int(rel.max()) + window_us + 1
         assert int(uidx[-1]) * stride < 2**63, "window-distinct stride overflow"
@@ -1577,32 +1490,16 @@ def events_window_median(sf_dir: str, k: int = MEDIAN_FRAME_ROWS,
     matrix sort. ROWS frames need a total order under duplicate
     timestamps — event_id breaks ties, exactly the twin's ORDER BY."""
     assert k >= 1
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet",
                             columns=["event_id", "user_id", "ts", "value"])
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        ts = batch["ts"]
-        if isinstance(ts, pa.ChunkedArray):
-            ts = ts.combine_chunks()
-        return pa.table(
-            {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "ts_us": ts.cast(pa.int64()),
-                "value": batch["value"],
-                "_b": pc.cast(pc.bit_wise_and(batch["user_id"], num_buckets - 1), pa.int32()),
-            }
-        )
+        return with_b(batch.select(["event_id", "user_id", "ts", "value"]))
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        ts = t["ts_us"].to_numpy(zero_copy_only=False)
-        val = t["value"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        eid, uid, val = eid[order], uid[order], val[order]
-        new = np.r_[True, uid[1:] != uid[:-1]]
+        order, keys, new = _user_order(t, "ts", "event_id")
+        eid, val = keys["event_id"][order], t["value"].to_numpy(zero_copy_only=False)[order]
         starts = np.nonzero(new)[0]
         pos = np.arange(len(eid)) - np.repeat(starts, np.diff(np.r_[starts, len(eid)]))
         out = np.empty(len(eid), dtype=np.float64)
@@ -1654,50 +1551,26 @@ def events_top_paths(sf_dir: str, k: int = PATH_K, num_buckets: int = 64):
     (n_types+1)^k distinct keys are decoded to strings — per-bucket
     output is catalogue-sized, the driver merge sums B × |paths| tiny
     rows. Ties inside a timestamp break by event_id (the SQL ORDER BY)."""
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet",
                             columns=["event_id", "user_id", "ts", "event_type"])
 
     def first_k_local(batch: pa.Table) -> pa.Table:
-        ts = batch["ts"]
-        if isinstance(ts, pa.ChunkedArray):
-            ts = ts.combine_chunks()
-        ts64 = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        eid = batch["event_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts64, uid))
-        u = uid[order]
-        new = np.r_[True, u[1:] != u[:-1]]
+        batch = batch.select(["event_id", "user_id", "ts", "event_type"])
+        order, _, new = _user_order(batch, "ts", "event_id")
         starts = np.flatnonzero(new)
-        rank = np.arange(len(u)) - starts[np.cumsum(new) - 1]
-        keep = np.sort(order[rank < k])
-        t = batch.take(pa.array(keep))
-        tts = t["ts"]
-        if isinstance(tts, pa.ChunkedArray):
-            tts = tts.combine_chunks()
-        return pa.table(
-            {
-                "event_id": t["event_id"],
-                "user_id": t["user_id"],
-                "ts_us": tts.cast(pa.int64()),
-                "event_type": t["event_type"],
-                "_b": pc.cast(pc.bit_wise_and(t["user_id"], num_buckets - 1), pa.int32()),
-            }
-        )
+        rank = np.arange(len(order)) - starts[np.cumsum(new) - 1]
+        return with_b(batch.take(pa.array(np.sort(order[rank < k]))))
 
     def bucket_paths(t: pa.Table) -> pa.Table:
         types, codes = np.unique(
             np.asarray(t["event_type"].to_pandas(), dtype=object),
             return_inverse=True)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        ts = t["ts_us"].to_numpy(zero_copy_only=False)
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        u, c = uid[order], codes[order].astype(np.int64)
-        new = np.r_[True, u[1:] != u[:-1]]
+        order, _, new = _user_order(t, "ts", "event_id")
+        c = codes[order].astype(np.int64)
         uidx = np.cumsum(new) - 1
         starts = np.flatnonzero(new)
-        rank = np.arange(len(u)) - starts[uidx]
+        rank = np.arange(len(order)) - starts[uidx]
         base = len(types) + 1
         # key = sum over positions of (code+1) * base^(k-1-rank); sentinel 0
         m = rank < k
@@ -1751,7 +1624,7 @@ def events_interval_coverage(sf_dir: str, num_buckets: int = 64):
     (maximum.accumulate over group-offset values — no Python loop) + one
     reduceat. Nothing user-catalogue-sized ever reaches the driver.
     """
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet",
                             columns=["event_id", "user_id", "ts", "value"])
 
@@ -1761,24 +1634,12 @@ def events_interval_coverage(sf_dir: str, num_buckets: int = 64):
             ts = ts.combine_chunks()
         s = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
         dur = np.maximum(_vm(batch), 0) * 1000  # value sec -> exact us
-        return pa.table(
-            {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "s": pa.array(s),
-                "e": pa.array(s + dur),
-                "_b": pc.cast(pc.bit_wise_and(batch["user_id"], num_buckets - 1), pa.int32()),
-            }
-        )
+        return with_b(pa.table({"event_id": batch["event_id"], "user_id": batch["user_id"],
+                                "s": pa.array(s), "e": pa.array(s + dur)}))
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        s = t["s"].to_numpy(zero_copy_only=False)
-        e = t["e"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, e, s, uid))
-        uid, s, e = uid[order], s[order], e[order]
-        new = np.r_[True, uid[1:] != uid[:-1]]
+        order, k, new = _user_order(t, "s", "e", "event_id")
+        uid, s, e = k["user_id"][order], k["s"][order], k["e"][order]
         uidx = np.cumsum(new) - 1
         starts = np.flatnonzero(new)
         # per-user cummax of e without a loop: offset each user's values into
@@ -1843,34 +1704,21 @@ def events_streaks(sf_dir: str, num_buckets: int = 64):
     run-boundary diff (runs = rows where user or type changes) + one
     argmax-per-user lexsort over the RUN table (<= rows, usually far
     fewer). Nothing reaches the driver."""
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet",
                             columns=["event_id", "user_id", "ts", "event_type"])
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        ts = batch["ts"]
-        if isinstance(ts, pa.ChunkedArray):
-            ts = ts.combine_chunks()
-        return pa.table(
-            {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "ts_us": ts.cast(pa.int64()),
-                "event_type": batch["event_type"],
-                "_b": pc.cast(pc.bit_wise_and(batch["user_id"], num_buckets - 1), pa.int32()),
-            }
-        )
+        return with_b(batch.select(["event_id", "user_id", "ts", "event_type"]))
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        ts = t["ts_us"].to_numpy(zero_copy_only=False)
         types, codes = np.unique(
             np.asarray(t["event_type"].to_pandas(), dtype=object),
             return_inverse=True)
-        order = np.lexsort((eid, ts, uid))
-        uid, codes = uid[order], codes[order]
-        new_run = np.r_[True, (uid[1:] != uid[:-1]) | (codes[1:] != codes[:-1])]
+        order, k, new_user = _user_order(t, "ts", "event_id")
+        uid, codes = k["user_id"][order], codes[order]
+        new_run = new_user.copy()
+        new_run[1:] |= codes[1:] != codes[:-1]
         starts = np.flatnonzero(new_run)
         run_len = np.diff(np.r_[starts, len(uid)]).astype(np.int64)
         run_uid = uid[starts]
@@ -2171,35 +2019,19 @@ def events_cusum_alarms(sf_dir: str, k_milli: int = CUSUM_K_MILLI,
     lexsort then two C-vectorized grouped scans; no per-user loop, no
     driver state. Exact int64 milli arithmetic -> the nested-window SQL
     twin hash-matches bit-for-bit."""
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet",
                             columns=["event_id", "user_id", "ts", "value"])
 
     def bucketize(batch: pa.Table) -> pa.Table:
         vm = np.floor(batch["value"].to_numpy(zero_copy_only=False) * 1000.0).astype(np.int64)
-        b = pc.cast(pc.bit_wise_and(batch["user_id"], num_buckets - 1), pa.int32())
-        return pa.table(
-            {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "ts": batch["ts"],
-                "y": pa.array(vm - k_milli),
-                "_b": b,
-            }
-        )
+        return with_b(pa.table({"event_id": batch["event_id"], "user_id": batch["user_id"],
+                                "ts": batch["ts"], "y": pa.array(vm - k_milli)}))
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        tsc = t["ts"]
-        if isinstance(tsc, pa.ChunkedArray):
-            tsc = tsc.combine_chunks()
-        ts = tsc.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        y = t["y"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        u_s, y_s = uid[order], y[order]
+        order, k, new_u = _user_order(t, "ts", "event_id")
+        u_s, y_s = k["user_id"][order], t["y"].to_numpy(zero_copy_only=False)[order]
         csum = np.cumsum(y_s)
-        new_u = np.r_[True, u_s[1:] != u_s[:-1]]
         base = np.where(new_u, csum - y_s, 0)
         base = base[np.flatnonzero(new_u)][np.cumsum(new_u) - 1]
         c = csum - base                      # per-user prefix sum of (vm - k)
@@ -2207,7 +2039,7 @@ def events_cusum_alarms(sf_dir: str, k_milli: int = CUSUM_K_MILLI,
         s = c - np.minimum(gmin, 0)          # S_t = c_t - min(0, min prefix c)
         return pa.table(
             {
-                "event_id": pa.array(eid[order]),
+                "event_id": pa.array(k["event_id"][order]),
                 "user_id": pa.array(u_s),
                 "s_milli": pa.array(s.astype(np.int64)),
                 "is_alarm": pa.array(s > h_milli),
@@ -2264,42 +2096,23 @@ def events_twap(sf_dir: str, num_buckets: int = 64):
     as in the twin's HAVING. Reference analog: the time-interpolation step
     of the first-guess read (read_fgs.r:51-66 holds each field until the
     next valid time)."""
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "value"]
     )
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        b = pc.cast(pc.bit_wise_and(batch["user_id"], num_buckets - 1), pa.int32())
-        return pa.table(
-            {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "ts": batch["ts"],
-                "vm": pa.array(_vm(batch)),
-                "_b": b,
-            }
-        )
+        return with_b(pa.table({"event_id": batch["event_id"], "user_id": batch["user_id"],
+                                "ts": batch["ts"], "vm": pa.array(_vm(batch))}))
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        uid0 = t["user_id"].to_numpy(zero_copy_only=False)
-        tsc = t["ts"]
-        if isinstance(tsc, pa.ChunkedArray):
-            tsc = tsc.combine_chunks()
-        ts0 = tsc.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        vm0 = t["vm"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts0, uid0))
-        uid, ts, vm = uid0[order], ts0[order], vm0[order]
+        order, k, new_user = _user_order(t, "ts", "event_id")
+        uid, ts = k["user_id"][order], k["ts"][order]
+        vm = t["vm"].to_numpy(zero_copy_only=False)[order]
         n = len(order)
-        same_user = np.empty(n, dtype=bool)
-        same_user[:-1] = uid[1:] == uid[:-1]
-        same_user[-1] = False
         dt = np.zeros(n, dtype=np.int64)
         dt[:-1] = (ts[1:] - ts[:-1]) // 1_000_000
-        dt[~same_user] = 0
-        new_user = np.empty(n, dtype=bool)
-        new_user[0] = True
-        new_user[1:] = ~same_user[:-1]
+        dt[np.r_[new_user[1:], True]] = 0   # a user's last event holds no interval
         starts = np.flatnonzero(new_user)
         wv = np.add.reduceat(vm * dt, starts)
         dts = np.add.reduceat(dt, starts)
@@ -2449,7 +2262,7 @@ def events_throttle(sf_dir: str, cooldown_us: int = THROTTLE_US,
     are all kept (the instant is the unit; n_events counts them). The
     DuckDB twin materializes every instant's cooldown successor with one
     scalar subquery, then replays the chain as a recursive pointer walk."""
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet",
                             columns=["user_id", "ts"])
 
@@ -2457,13 +2270,7 @@ def events_throttle(sf_dir: str, cooldown_us: int = THROTTLE_US,
         ts = batch["ts"]
         if isinstance(ts, pa.ChunkedArray):
             ts = ts.combine_chunks()
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "ts_us": ts.cast(pa.int64()),
-                "_b": pc.cast(pc.bit_wise_and(batch["user_id"], num_buckets - 1), pa.int32()),
-            }
-        )
+        return with_b(pa.table({"user_id": batch["user_id"], "ts_us": ts.cast(pa.int64())}))
 
     def per_bucket(t: pa.Table) -> pa.Table:
         uid = t["user_id"].to_numpy(zero_copy_only=False)
@@ -2665,36 +2472,22 @@ def events_ewma(sf_dir: str, num_buckets: int = 64):
     max events-per-user in the bucket, each costing O(active users). The
     DuckDB twin walks the same chains with a join-only recursive CTE
     (row_number successor join, the throttle-twin convention)."""
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
+    with_b = _user_buckets(num_buckets)
     ds = read_parquet_clean(f"{sf_dir}/events.parquet",
                             columns=["event_id", "user_id", "ts", "value"])
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        ts = batch["ts"]
-        if isinstance(ts, pa.ChunkedArray):
-            ts = ts.combine_chunks()
         v = batch["value"].to_numpy(zero_copy_only=False)
         xq = np.rint(v * 1_000_000).astype(np.int64)
-        return pa.table(
-            {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "ts_us": ts.cast(pa.int64()),
-                "xq": pa.array(xq),
-                "_b": pc.cast(pc.bit_wise_and(batch["user_id"], num_buckets - 1), pa.int32()),
-            }
-        )
+        return with_b(pa.table({"event_id": batch["event_id"], "user_id": batch["user_id"],
+                                "ts": batch["ts"], "xq": pa.array(xq)}))
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        ts = t["ts_us"].to_numpy(zero_copy_only=False)
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
         xq = t["xq"].to_numpy(zero_copy_only=False)
         assert (xq >= 0).all(), "events_ewma requires nonnegative values " \
             "(floor/truncating division parity)"
-        order = np.lexsort((eid, ts, uid))
-        uid, ts, eid, xq = uid[order], ts[order], eid[order], xq[order]
-        new = np.r_[True, uid[1:] != uid[:-1]]
+        order, k, new = _user_order(t, "ts", "event_id")
+        uid, eid, xq = k["user_id"][order], k["event_id"][order], xq[order]
         starts = np.nonzero(new)[0]
         seg_len = np.diff(np.r_[starts, len(uid)])
         y = xq.copy()                      # position 0: y = x

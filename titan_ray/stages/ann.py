@@ -53,8 +53,6 @@ def ann_topk(sf_dir: str, k: int = 10, vec_id: int = 0):
     """Brute-force cosine top-k vs the embedding of ``vec_id`` (rounded to 4
     decimals so Ray/numpy and the DuckDB oracle agree despite summation-order
     float noise; ties broken by vec_id)."""
-    import ray.data as rd
-
     q = query_vector(sf_dir, vec_id)
     qn = float(np.sqrt(q @ q))
 
@@ -93,7 +91,6 @@ def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.45):
     side would shuffle; at the driver-table scale the right side IS small, so
     we broadcast the full matrix once and matmul per batch — the documented
     scale path swaps the broadcast for the LSH bucket join above."""
-    import ray.data as rd
     import pyarrow.parquet as pq
 
     t = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
@@ -143,7 +140,6 @@ def embedding_mutual_nn(sf_dir: str):
     ann_topk_ivf does for top-k). Stage 2 is row-local canonicalization
     (lo, hi) + ONE narrow groupby over the n-row NN stream: a pair key
     seen from BOTH directions is mutual. Nothing driver-side."""
-    import ray.data as rd
     import pyarrow.parquet as pq
 
     t = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
@@ -300,8 +296,6 @@ def build_ivf_centroids(sf_dir: str, n_cells: int = 16, iters: int = 8, seed: in
     random sample of the embedding table (ds.random_sample with a fixed
     seed; sample size capped at IVF_SAMPLE_MAX regardless of table size),
     matmul-based assignment each iteration."""
-    import ray.data as rd
-
     ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["embedding"])
     n_total = ds.count()  # parquet metadata, no scan
     frac = min(1.0, IVF_SAMPLE_MAX / max(n_total, 1))
@@ -328,8 +322,6 @@ def ann_topk_ivf(sf_dir: str, k: int = 10, vec_id: int = 0, n_probe: int = 6, n_
     Approximate by construction: recall < 1 when true neighbours live in
     unprobed cells (rows-only driver check + recall-vs-exact pytest; the
     exact baseline `ann_topk` carries the SQL oracle)."""
-    import ray.data as rd
-
     cent = build_ivf_centroids(sf_dir, n_cells=n_cells)
     q = query_vector(sf_dir, vec_id)
     qn = float(np.sqrt(q @ q))
@@ -370,8 +362,6 @@ def embedding_neardup_lsh(sf_dir: str, threshold: float = 0.45, n_planes: int = 
     buckets but lower recall; high-similarity regimes (cos >= 0.9, the real
     near-dup use case) reach >0.98 with (8, 8). The exact broadcast variant
     (embedding_neardup_pairs) remains the small-scale baseline + oracle."""
-    import ray.data as rd
-
     def bucketize(batch: pa.Table) -> pa.Table:
         m = _matrix(batch["embedding"])
         planes = rng_planes(m.shape[1], n_planes, n_tables, seed)
