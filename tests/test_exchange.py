@@ -175,6 +175,41 @@ def test_bucket_exchange_runs_once_per_block(ray_session):
     assert 1 <= out["call"].nunique() <= 5  # per block, not per key
 
 
+def test_map_between_exchanges_runs_tasks_concurrently(ray_session):
+    """A map between two exchanges runs more than one task at a time.
+
+    With Ray Data's per-operator CPU reservation on, the map, the sort
+    behind it and the map after that sort each hold a slice of the 4 CPUs,
+    and the map between them got a budget of one task: its 0.3 s calls ran
+    back to back. ``import titan_ray`` switches that reservation off."""
+    import gc
+    import os
+    import time
+
+    import ray.data as rd
+    from ray.data import DataContext
+
+    import titan_ray  # noqa: F401
+    from titan_ray.exchange import bucket_exchange
+
+    assert DataContext.get_current().op_resource_reservation_enabled is False
+    gc.collect()  # drop actors an earlier test left holding a CPU
+
+    def record(t: pa.Table) -> pa.Table:
+        start = time.time()
+        time.sleep(0.3)
+        return pa.table({"k": [t["k"][0].as_py()], "pid": [os.getpid()],
+                         "start": [start], "end": [time.time()]})
+
+    blocks = [pa.table({"k": pa.array((np.arange(100) + 100 * i) % 16)}) for i in range(8)]
+    ds = bucket_exchange(rd.from_arrow(blocks), "k", lambda t: t)
+    ds = ds.map_batches(record, batch_format="pyarrow", batch_size=None)
+    out = bucket_exchange(ds, "k", lambda t: t).to_pandas()
+    spans = sorted(zip(out["start"], out["end"]))
+    assert len(spans) >= 4
+    assert any(b[0] < a[1] for a, b in zip(spans, spans[1:]))
+
+
 KEY = ["conv_id", "turn_idx", "ts", "text"]
 
 

@@ -1352,3 +1352,17 @@ def test_tpch_fk_audit(ray_session, tmp_path):
     ora = con.sql(fk_audit_sql()).df()
     assert len(eng) == len(FK_EDGES) == len(ora)
     assert value_hash(eng) == value_hash(ora)
+
+
+@pytest.mark.parametrize("name", ["tpch_top_lineitem", "tpch_min_cost_supplier",
+                                  "tpch_topn_lineitems"])
+def test_bucket_count_need_not_be_a_power_of_two(ray_session, name):
+    """These operators bucket with ``%``, so 48 buckets give the same rows
+    as 64."""
+    from titan_ray.pipelines import relational
+    from tools.check_contract import to_pandas, value_hash
+
+    op = getattr(relational, name)
+    a, b = (to_pandas(op(SF, num_buckets=n)) for n in (48, 64))
+    assert len(a) == len(b) > 0
+    assert value_hash(a) == value_hash(b)

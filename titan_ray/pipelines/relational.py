@@ -455,7 +455,6 @@ def tpch_top_lineitem(sf_dir: str, num_buckets: int = 64):
     result partition-invariant and the window twin hash-matches."""
     from ..sources.reader import read_parquet_clean
 
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
     ds = read_parquet_clean(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_linenumber", "l_extendedprice", "l_discount"],
@@ -531,7 +530,6 @@ def tpch_min_cost_supplier(sf_dir: str, num_buckets: int = 64):
     only collapsed triples."""
     from ..sources.reader import read_parquet_clean
 
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
     ds = read_parquet_clean(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_suppkey", "l_extendedprice"],
@@ -1003,7 +1001,6 @@ def tpch_topn_lineitems(sf_dir: str, n: int = TOPN_PER_ORDER, num_buckets: int =
     (order, batch); the per-bucket rerun of the same kernel is final and
     emits rn. Deterministic tie-break (revenue DESC, linenumber ASC) ->
     partition-invariant, window twin hash-matches."""
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
     ds = read_parquet_clean(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_linenumber", "l_extendedprice", "l_discount"],

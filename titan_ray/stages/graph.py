@@ -199,7 +199,6 @@ def graph_triangles(sf_dir: str, num_buckets: int = 64):
 def triangles_from_pairs(edges, num_buckets: int = 64):
     """Triangle-count kernel over a canonical (doc_a < doc_b, distinct)
     edge Dataset; see graph_triangles for the full shape."""
-    assert num_buckets & (num_buckets - 1) == 0 and num_buckets > 0
 
     def _pair_bucket(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         h = u.astype(np.uint64) * _TRI_MIX + v.astype(np.uint64)

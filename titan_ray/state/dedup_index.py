@@ -39,7 +39,10 @@ import pyarrow as pa
 import ray
 
 
-@ray.remote(num_cpus=0.25)
+# No CPU reserved: a shard only merges the dicts tasks send it, so it must
+# not hold CPUs the ingest tasks need (8 shards at 0.25 CPU each left none
+# on a 2-CPU Ray, and the query hung).
+@ray.remote(num_cpus=0)
 class DedupShard:
     """One shard: {(h1<<64)|h2 -> min doc_id}. Batch-dict ops only."""
 
